@@ -26,8 +26,10 @@ import (
 	"m3/internal/model"
 	"m3/internal/packetsim"
 	"m3/internal/parsimon"
+	"m3/internal/pathsim"
 	"m3/internal/rng"
 	"m3/internal/routing"
+	"m3/internal/sampling"
 	"m3/internal/serve"
 	"m3/internal/topo"
 	"m3/internal/workload"
@@ -292,6 +294,49 @@ func BenchmarkFlowSimPath(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(syn.Flows))/b.Elapsed().Seconds()*float64(b.N), "flows/s")
+}
+
+// BenchmarkScenarioBuild times the per-path scenario stage over 200
+// fixed-seed sampled paths of the 8000-flow benchmark workload: "build"
+// constructs every path's parking-lot scenario, "build+flowsim" also runs
+// flowSim on it. flows/op counts the scenario flows built per iteration.
+func BenchmarkScenarioBuild(b *testing.B) {
+	ft, flows := benchWorkload(b, 8000)
+	d, err := pathsim.Decompose(ft.Topology, flows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sample, err := sampling.Weighted(d.FgWeights(), 200, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	distinct, _ := sampling.Dedup(sample)
+	for _, mode := range []struct {
+		name    string
+		flowSim bool
+	}{{"build", false}, {"build+flowsim", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n int
+			for i := 0; i < b.N; i++ {
+				n = 0
+				for _, pi := range distinct {
+					sc, err := d.Scenario(&d.Paths[pi])
+					if err != nil {
+						b.Fatal(err)
+					}
+					n += len(sc.Flows)
+					if mode.flowSim {
+						if _, err := sc.RunFlowSim(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					sc.Release()
+				}
+			}
+			b.ReportMetric(float64(n), "flows/op")
+		})
+	}
 }
 
 func BenchmarkMaxMinAllocation(b *testing.B) {

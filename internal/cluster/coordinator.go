@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"m3/internal/agg"
@@ -82,27 +83,13 @@ func (f *Fleet) Scatter(ctx context.Context, tmpl *PathsRequest, distinct, mult 
 	shards := f.Partition(len(distinct))
 	stats := &ScatterStats{Shards: len(shards)}
 	out := &core.ShardResult{Outs: make([]agg.PathOutput, len(distinct))}
-	var pathSimNs, predictNs, degraded atomic.Int64
-	var pathSimWallNs, predictWallNs, overlapNs atomic.Int64
 	var remote, fallback, fallbackPaths atomic.Int64
-
-	// Shards run concurrently, so the CPU-time stats sum but the wall-clock
-	// stats combine via max: the fleet-level stage wall is the slowest
-	// shard's (a lower bound when shards skew, exact when they align).
-	atomicMax := func(dst *atomic.Int64, v int64) {
-		for {
-			if cur := dst.Load(); v <= cur || dst.CompareAndSwap(cur, v) {
-				return
-			}
-		}
-	}
-	mergeStats := func(pathSim, predict, pathSimWall, predictWall, overlap int64, degradedPaths int) {
-		pathSimNs.Add(pathSim)
-		predictNs.Add(predict)
-		atomicMax(&pathSimWallNs, pathSimWall)
-		atomicMax(&predictWallNs, predictWall)
-		atomicMax(&overlapNs, overlap)
-		degraded.Add(int64(degradedPaths))
+	var mu sync.Mutex
+	merge := func(sh Shard, sr *core.ShardResult) {
+		copy(out.Outs[sh.Lo:sh.Hi], sr.Outs)
+		mu.Lock()
+		out.Merge(sr)
+		mu.Unlock()
 	}
 
 	runLocal := func(ctx context.Context, sh Shard) error {
@@ -110,8 +97,7 @@ func (f *Fleet) Scatter(ctx context.Context, tmpl *PathsRequest, distinct, mult 
 		if err != nil {
 			return err
 		}
-		copy(out.Outs[sh.Lo:sh.Hi], sr.Outs)
-		mergeStats(sr.PathSimNs, sr.PredictNs, sr.PathSimWallNs, sr.PredictWallNs, sr.OverlapNs, sr.DegradedPaths)
+		merge(sh, sr)
 		return nil
 	}
 
@@ -148,20 +134,13 @@ func (f *Fleet) Scatter(ctx context.Context, tmpl *PathsRequest, distinct, mult 
 			fallbackPaths.Add(int64(sh.Hi - sh.Lo))
 			return runLocal(ctx, sh)
 		}
-		copy(out.Outs[sh.Lo:sh.Hi], resp.Outs)
-		mergeStats(resp.PathSimNs, resp.PredictNs, resp.PathSimWallNs, resp.PredictWallNs, resp.OverlapNs, resp.DegradedPaths)
+		merge(sh, resp)
 		remote.Add(1)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out.PathSimNs = pathSimNs.Load()
-	out.PredictNs = predictNs.Load()
-	out.PathSimWallNs = pathSimWallNs.Load()
-	out.PredictWallNs = predictWallNs.Load()
-	out.OverlapNs = overlapNs.Load()
-	out.DegradedPaths = int(degraded.Load())
 	stats.RemoteShards = int(remote.Load())
 	stats.FallbackShards = int(fallback.Load())
 	stats.FallbackPaths = int(fallbackPaths.Load())

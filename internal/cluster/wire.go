@@ -128,18 +128,10 @@ type PathsRequest struct {
 	DeadlineNS int64 `json:"deadline_ns,omitempty"`
 }
 
-// PathsResponse carries a shard's outputs back to the coordinator. The wall
-// fields are additive (PR 9): replicas that predate them answer zero, which
-// the coordinator reads as "no wall data from that shard".
-type PathsResponse struct {
-	Outs          []agg.PathOutput `json:"outs"`
-	PathSimNs     int64            `json:"path_sim_ns"`
-	PredictNs     int64            `json:"predict_ns"`
-	PathSimWallNs int64            `json:"path_sim_wall_ns,omitempty"`
-	PredictWallNs int64            `json:"predict_wall_ns,omitempty"`
-	OverlapNs     int64            `json:"overlap_ns,omitempty"`
-	DegradedPaths int              `json:"degraded_paths"`
-}
+// PathsResponse carries a shard's outputs and stage costs back to the
+// coordinator. Its additive fields read zero from replicas that predate
+// them, which the coordinator takes as "no data from that shard".
+type PathsResponse = core.ShardResult
 
 // KeyRequest names one estimate cache entry (cachefetch).
 type KeyRequest struct {
@@ -176,7 +168,9 @@ type EstimateWire struct {
 	ElapsedNs     int64       `json:"elapsed_ns"`
 	DecomposeNs   int64       `json:"decompose_ns"`
 	SampleNs      int64       `json:"sample_ns"`
+	ScenarioNs    int64       `json:"scenario_ns,omitempty"`
 	PathSimNs     int64       `json:"path_sim_ns"`
+	FeaturizeNs   int64       `json:"featurize_ns,omitempty"`
 	PredictNs     int64       `json:"predict_ns"`
 	AggregateNs   int64       `json:"aggregate_ns"`
 	PathSimWallNs int64       `json:"path_sim_wall_ns,omitempty"`
@@ -197,7 +191,9 @@ func WireFromEstimate(e *core.Estimate) *EstimateWire {
 		ElapsedNs:     int64(e.Elapsed),
 		DecomposeNs:   int64(e.Stages.Decompose),
 		SampleNs:      int64(e.Stages.Sample),
+		ScenarioNs:    int64(e.Stages.ScenarioBuild),
 		PathSimNs:     int64(e.Stages.PathSim),
+		FeaturizeNs:   int64(e.Stages.Featurize),
 		PredictNs:     int64(e.Stages.Predict),
 		AggregateNs:   int64(e.Stages.Aggregate),
 		PathSimWallNs: int64(e.Stages.PathSimWall),
@@ -220,14 +216,16 @@ func (w *EstimateWire) Estimate() (*core.Estimate, error) {
 		TotalPaths:    w.TotalPaths,
 		Elapsed:       time.Duration(w.ElapsedNs),
 		Stages: core.StageTimings{
-			Decompose:   time.Duration(w.DecomposeNs),
-			Sample:      time.Duration(w.SampleNs),
-			PathSim:     time.Duration(w.PathSimNs),
-			Predict:     time.Duration(w.PredictNs),
-			Aggregate:   time.Duration(w.AggregateNs),
-			PathSimWall: time.Duration(w.PathSimWallNs),
-			PredictWall: time.Duration(w.PredictWallNs),
-			Overlap:     time.Duration(w.OverlapNs),
+			Decompose:     time.Duration(w.DecomposeNs),
+			Sample:        time.Duration(w.SampleNs),
+			ScenarioBuild: time.Duration(w.ScenarioNs),
+			PathSim:       time.Duration(w.PathSimNs),
+			Featurize:     time.Duration(w.FeaturizeNs),
+			Predict:       time.Duration(w.PredictNs),
+			Aggregate:     time.Duration(w.AggregateNs),
+			PathSimWall:   time.Duration(w.PathSimWallNs),
+			PredictWall:   time.Duration(w.PredictWallNs),
+			Overlap:       time.Duration(w.OverlapNs),
 		},
 		Degraded:      w.Degraded,
 		DegradedPaths: w.DegradedPaths,

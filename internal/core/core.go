@@ -189,20 +189,24 @@ func NewEstimator(p model.Predictor, opts ...Option) *Estimator {
 }
 
 // StageTimings breaks an estimation's cost down by pipeline stage.
-// Decompose, Sample, and Aggregate are wall-clock; PathSim and Predict are
-// summed across workers (CPU time spent in the per-path backends and in ML
-// inference), feeding the serving layer's /metrics endpoint. Because the
-// streaming pipeline overlaps the two stages, the summed PathSim + Predict
-// can exceed the shard's wall clock — PathSimWall and PredictWall carry the
-// per-stage wall-clock extents (first task start to last task end), and
-// Overlap is the wall-clock span during which both stages were running at
-// once (zero under the staged pipeline).
+// Decompose, Sample, and Aggregate are wall-clock; ScenarioBuild, PathSim,
+// Featurize and Predict are summed across workers (CPU time spent building
+// per-path scenarios, in the per-path backend alone — flowSim or the packet
+// simulator — in BuildInputs + BucketCounts, and in ML inference), feeding
+// the serving layer's /metrics endpoint. Because the streaming pipeline
+// overlaps featurize and predict, the summed stages can exceed the shard's
+// wall clock — PathSimWall (the whole featurize stage) and PredictWall
+// carry the per-stage wall-clock extents (first task start to last task
+// end), and Overlap is the wall-clock span during which both stages were
+// running at once (zero under the staged pipeline).
 type StageTimings struct {
-	Decompose time.Duration
-	Sample    time.Duration
-	PathSim   time.Duration
-	Predict   time.Duration
-	Aggregate time.Duration
+	Decompose     time.Duration
+	Sample        time.Duration
+	ScenarioBuild time.Duration
+	PathSim       time.Duration
+	Featurize     time.Duration
+	Predict       time.Duration
+	Aggregate     time.Duration
 
 	PathSimWall time.Duration
 	PredictWall time.Duration
@@ -310,23 +314,70 @@ func (e *Estimator) Plan(t *topo.Topology, flows []workload.Flow) (*Plan, error)
 	return p, nil
 }
 
-// ShardResult is one shard's per-path outputs plus its backend cost, in the
-// JSON-transportable form the cluster's /internal/v1/paths endpoint returns.
+// ShardResult is one shard's per-path outputs plus its backend cost; it is
+// also the body the cluster's /internal/v1/paths endpoint returns. Fields
+// marked omitempty were added after the first wire version: replicas that
+// predate them answer zero.
 type ShardResult struct {
 	// Outs[i] is the output of path distinct[i] (same order as the request).
-	Outs []agg.PathOutput
-	// PathSimNs and PredictNs are summed backend time across workers.
-	PathSimNs int64
-	PredictNs int64
+	Outs []agg.PathOutput `json:"outs"`
+	// ScenarioNs, PathSimNs, FeaturizeNs and PredictNs are summed stage
+	// time across workers.
+	ScenarioNs  int64 `json:"scenario_ns,omitempty"`
+	PathSimNs   int64 `json:"path_sim_ns"`
+	FeaturizeNs int64 `json:"featurize_ns,omitempty"`
+	PredictNs   int64 `json:"predict_ns"`
 	// PathSimWallNs and PredictWallNs are the wall-clock extents of the two
 	// ML stages, and OverlapNs the span both ran concurrently (zero for
-	// model-free methods and the staged pipeline). Old peers that predate
-	// these fields simply report zero.
-	PathSimWallNs int64
-	PredictWallNs int64
-	OverlapNs     int64
+	// model-free methods and the staged pipeline).
+	PathSimWallNs int64 `json:"path_sim_wall_ns,omitempty"`
+	PredictWallNs int64 `json:"predict_wall_ns,omitempty"`
+	OverlapNs     int64 `json:"overlap_ns,omitempty"`
 	// DegradedPaths counts paths that fell back from ML to flowSim.
-	DegradedPaths int
+	DegradedPaths int `json:"degraded_paths"`
+}
+
+// Merge folds another shard's costs into sr. Shards run concurrently, so
+// stage CPU times and degraded counts sum while the wall-clock extents
+// combine via max: the fleet-level stage wall is the slowest shard's (a
+// lower bound when shards skew, exact when they align). Outs is untouched.
+func (sr *ShardResult) Merge(o *ShardResult) {
+	sr.ScenarioNs += o.ScenarioNs
+	sr.PathSimNs += o.PathSimNs
+	sr.FeaturizeNs += o.FeaturizeNs
+	sr.PredictNs += o.PredictNs
+	sr.PathSimWallNs = max(sr.PathSimWallNs, o.PathSimWallNs)
+	sr.PredictWallNs = max(sr.PredictWallNs, o.PredictWallNs)
+	sr.OverlapNs = max(sr.OverlapNs, o.OverlapNs)
+	sr.DegradedPaths += o.DegradedPaths
+}
+
+// Stages returns the shard's per-path stage timings; Assemble fills in the
+// plan-level stages.
+func (sr *ShardResult) Stages() StageTimings {
+	return StageTimings{
+		ScenarioBuild: time.Duration(sr.ScenarioNs),
+		PathSim:       time.Duration(sr.PathSimNs),
+		Featurize:     time.Duration(sr.FeaturizeNs),
+		Predict:       time.Duration(sr.PredictNs),
+		PathSimWall:   time.Duration(sr.PathSimWallNs),
+		PredictWall:   time.Duration(sr.PredictWallNs),
+		Overlap:       time.Duration(sr.OverlapNs),
+	}
+}
+
+// stageCounters accumulates a shard's per-path stage time across workers,
+// plus its degraded-path count.
+type stageCounters struct {
+	scenario, pathSim, featurize, predict, degraded atomic.Int64
+}
+
+// since adds the time elapsed from start to c and returns the current time,
+// so consecutive stages can be timed back to back.
+func since(c *atomic.Int64, start time.Time) time.Time {
+	now := time.Now()
+	c.Add(int64(now.Sub(start)))
+	return now
 }
 
 // RunShard executes the per-path backends for one slice of a plan's
@@ -367,21 +418,20 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 		defer pool.Close()
 	}
 	sr := &ShardResult{Outs: make([]agg.PathOutput, len(distinct))}
-	var pathSimNs, predictNs atomic.Int64
-	var degraded atomic.Int64
+	var st stageCounters
 	var walls stageWalls
 	var err error
 	if method == MethodML {
 		if e.staged {
-			walls, err = e.estimateMLStaged(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
+			walls, err = e.estimateMLStaged(ctx, pool, d, distinct, mult, cfg, sr.Outs, &st)
 		} else {
-			walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
+			walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &st)
 		}
 	} else {
 		wallStart := time.Now()
 		err = pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
 			faultinject.At("core.path", distinct[i])
-			out, err := e.estimatePath(ctx, d, &d.Paths[distinct[i]], mult[i], cfg, method, &pathSimNs)
+			out, err := e.estimatePath(ctx, d, &d.Paths[distinct[i]], mult[i], cfg, method, &st)
 			if err != nil {
 				return fmt.Errorf("core: path %d: %w", distinct[i], err)
 			}
@@ -393,12 +443,14 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 	if err != nil {
 		return nil, err
 	}
-	sr.PathSimNs = pathSimNs.Load()
-	sr.PredictNs = predictNs.Load()
+	sr.ScenarioNs = st.scenario.Load()
+	sr.PathSimNs = st.pathSim.Load()
+	sr.FeaturizeNs = st.featurize.Load()
+	sr.PredictNs = st.predict.Load()
 	sr.PathSimWallNs = int64(walls.pathSim)
 	sr.PredictWallNs = int64(walls.predict)
 	sr.OverlapNs = int64(walls.overlap)
-	sr.DegradedPaths = int(degraded.Load())
+	sr.DegradedPaths = int(st.degraded.Load())
 	if wholeDegraded {
 		sr.DegradedPaths = len(distinct)
 	}
@@ -406,7 +458,7 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 }
 
 // Assemble aggregates per-path outputs — ordered exactly as p.Distinct —
-// into the final estimate. st carries the caller's PathSim/Predict totals;
+// into the final estimate. st carries the caller's per-path stage totals;
 // the plan's Decompose/Sample timings and the Aggregate stage are filled in
 // here. Elapsed is left zero for the caller to stamp.
 func (p *Plan) Assemble(outs []agg.PathOutput, st StageTimings, degradedPaths int) (*Estimate, error) {
@@ -451,13 +503,7 @@ func (e *Estimator) Estimate(ctx context.Context, t *topo.Topology,
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Assemble(sr.Outs, StageTimings{
-		PathSim:     time.Duration(sr.PathSimNs),
-		Predict:     time.Duration(sr.PredictNs),
-		PathSimWall: time.Duration(sr.PathSimWallNs),
-		PredictWall: time.Duration(sr.PredictWallNs),
-		Overlap:     time.Duration(sr.OverlapNs),
-	}, sr.DegradedPaths)
+	res, err := plan.Assemble(sr.Outs, sr.Stages(), sr.DegradedPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -495,17 +541,15 @@ type mlRun struct {
 	fbSizes [][]unit.ByteSize
 	fbSldn  [][]float64
 
-	pathSimNs, predictNs, degraded *atomic.Int64
+	st *stageCounters
 }
 
 func (e *Estimator) newMLRun(d *pathsim.Decomposition, distinct, mult []int,
-	cfg packetsim.Config, outs []agg.PathOutput,
-	pathSimNs, predictNs, degraded *atomic.Int64) *mlRun {
+	cfg packetsim.Config, outs []agg.PathOutput, st *stageCounters) *mlRun {
 
 	r := &mlRun{
 		e: e, d: d, distinct: distinct, mult: mult, cfg: cfg,
-		samples: make([]*model.Sample, len(distinct)), outs: outs,
-		pathSimNs: pathSimNs, predictNs: predictNs, degraded: degraded,
+		samples: make([]*model.Sample, len(distinct)), outs: outs, st: st,
 	}
 	if e.fallback {
 		r.fbSizes = make([][]unit.ByteSize, len(distinct))
@@ -514,18 +558,21 @@ func (e *Estimator) newMLRun(d *pathsim.Decomposition, distinct, mult []int,
 	return r
 }
 
-// featurize runs flowSim + feature building for sampled path i, storing the
-// model inputs and the path's output skeleton.
+// featurize builds sampled path i's scenario, runs flowSim on it and turns
+// the result into model inputs, storing them and the path's output
+// skeleton.
 func (r *mlRun) featurize(ctx context.Context, i int) error {
 	faultinject.At("core.path", r.distinct[i])
 	p := &r.d.Paths[r.distinct[i]]
+	start := time.Now()
 	sc, err := r.d.Scenario(p)
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", r.distinct[i], err)
 	}
-	simStart := time.Now()
+	start = since(&r.st.scenario, start)
 	fs, err := sc.RunFlowSimContext(ctx)
-	r.pathSimNs.Add(int64(time.Since(simStart)))
+	sc.Release()
+	start = since(&r.st.pathSim, start)
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", r.distinct[i], err)
 	}
@@ -536,6 +583,7 @@ func (r *mlRun) featurize(ctx context.Context, i int) error {
 		Counts: feature.BucketCounts(fs.Fg.Sizes, feature.OutputBucketBounds),
 		Mult:   r.mult[i],
 	}
+	since(&r.st.featurize, start)
 	if r.fbSizes != nil {
 		r.fbSizes[i], r.fbSldn[i] = fs.Fg.Sizes, fs.Fg.Slowdown
 	}
@@ -556,7 +604,7 @@ func (r *mlRun) predict(ctx context.Context, idx []int) error {
 	}
 	predStart := time.Now()
 	preds, err := r.e.pred.PredictBatch(ctx, batch)
-	r.predictNs.Add(int64(time.Since(predStart)))
+	since(&r.st.predict, predStart)
 	if err != nil {
 		if r.fbSizes == nil {
 			return fmt.Errorf("core: predict batch [path %d..]: %w", r.distinct[idx[0]], err)
@@ -567,7 +615,7 @@ func (r *mlRun) predict(ctx context.Context, idx []int) error {
 			r.outs[i] = outputFromSamples(r.fbSizes[i], r.fbSldn[i], r.mult[i])
 			r.samples[i] = nil
 		}
-		r.degraded.Add(int64(len(idx)))
+		r.st.degraded.Add(int64(len(idx)))
 		return nil
 	}
 	faultinject.At("core.predict", preds)
@@ -576,7 +624,7 @@ func (r *mlRun) predict(ctx context.Context, idx []int) error {
 		if r.fbSizes != nil && !finiteSlice(pred) {
 			r.outs[i] = outputFromSamples(r.fbSizes[i], r.fbSldn[i], r.mult[i])
 			r.samples[i] = nil
-			r.degraded.Add(1)
+			r.st.degraded.Add(1)
 			continue
 		}
 		out := &r.outs[i]
@@ -610,9 +658,9 @@ var (
 // pending predicts. Estimates are bit-identical to estimateMLStaged.
 func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
-	outs []agg.PathOutput, pathSimNs, predictNs, degraded *atomic.Int64) (stageWalls, error) {
+	outs []agg.PathOutput, st *stageCounters) (stageWalls, error) {
 
-	r := e.newMLRun(d, distinct, mult, cfg, outs, pathSimNs, predictNs, degraded)
+	r := e.newMLRun(d, distinct, mult, cfg, outs, st)
 	bs := e.batchSize
 	if bs <= 0 {
 		bs = DefaultBatchSize
@@ -705,9 +753,9 @@ func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 // for staged-vs-streamed benchmarking.
 func (e *Estimator) estimateMLStaged(ctx context.Context, pool *Pool,
 	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
-	outs []agg.PathOutput, pathSimNs, predictNs, degraded *atomic.Int64) (stageWalls, error) {
+	outs []agg.PathOutput, st *stageCounters) (stageWalls, error) {
 
-	r := e.newMLRun(d, distinct, mult, cfg, outs, pathSimNs, predictNs, degraded)
+	r := e.newMLRun(d, distinct, mult, cfg, outs, st)
 	var walls stageWalls
 	featStart := time.Now()
 	err := pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
@@ -757,33 +805,36 @@ func finiteSlice(v []float64) bool {
 }
 
 // estimatePath produces one sampled path's bucketed percentile vectors for
-// the model-free backends, accumulating backend time into the stage counter.
+// the model-free backends, accumulating scenario-build and backend time into
+// the stage counters.
 func (e *Estimator) estimatePath(ctx context.Context, d *pathsim.Decomposition,
 	p *pathsim.Path, mult int, cfg packetsim.Config, method Method,
-	pathSimNs *atomic.Int64) (agg.PathOutput, error) {
+	st *stageCounters) (agg.PathOutput, error) {
 
+	start := time.Now()
 	sc, err := d.Scenario(p)
 	if err != nil {
 		return agg.PathOutput{}, err
 	}
-	simStart := time.Now()
+	defer sc.Release()
+	start = since(&st.scenario, start)
+	var fg *pathsim.FgResult
 	switch method {
 	case MethodNS3Path:
-		fg, err := sc.RunPacketContext(ctx, cfg)
-		pathSimNs.Add(int64(time.Since(simStart)))
-		if err != nil {
-			return agg.PathOutput{}, err
-		}
-		return outputFromSamples(fg.Sizes, fg.Slowdown, mult), nil
+		fg, err = sc.RunPacketContext(ctx, cfg)
 	case MethodFlowSim:
-		fs, err := sc.RunFlowSimContext(ctx)
-		pathSimNs.Add(int64(time.Since(simStart)))
-		if err != nil {
-			return agg.PathOutput{}, err
+		var fs *pathsim.FlowSimResult
+		if fs, err = sc.RunFlowSimContext(ctx); err == nil {
+			fg = fs.Fg
 		}
-		return outputFromSamples(fs.Fg.Sizes, fs.Fg.Slowdown, mult), nil
+	default:
+		return agg.PathOutput{}, fmt.Errorf("core: unknown method %v", method)
 	}
-	return agg.PathOutput{}, fmt.Errorf("core: unknown method %v", method)
+	since(&st.pathSim, start)
+	if err != nil {
+		return agg.PathOutput{}, err
+	}
+	return outputFromSamples(fg.Sizes, fg.Slowdown, mult), nil
 }
 
 // outputFromSamples bucketizes raw per-flow slowdowns into a PathOutput.

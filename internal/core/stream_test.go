@@ -189,10 +189,10 @@ func TestStreamedPredictPanicFailsRun(t *testing.T) {
 	}
 }
 
-// TestStreamedWallTimings: a successful streamed ML estimate must report
-// wall-clock extents for both stages, an overlap no larger than the shorter
-// stage's wall, and an OverlapRatio in [0, 1]; the staged pipeline must
-// report zero overlap.
+// TestStreamedWallTimings: a successful cold ML estimate must report
+// non-zero CPU time for every per-path stage, wall-clock extents for both
+// ML stages, an overlap no larger than the shorter stage's wall, and an
+// OverlapRatio in [0, 1]; the staged pipeline must report zero overlap.
 func TestStreamedWallTimings(t *testing.T) {
 	net := tinyTrainedNet(t)
 	ft, flows := testWorkload(t, 900, 7)
@@ -205,6 +205,10 @@ func TestStreamedWallTimings(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := res.Stages
+		if st.ScenarioBuild <= 0 || st.PathSim <= 0 || st.Featurize <= 0 || st.Predict <= 0 {
+			t.Errorf("staged=%v: stages scenario=%v pathsim=%v featurize=%v predict=%v, want all > 0",
+				staged, st.ScenarioBuild, st.PathSim, st.Featurize, st.Predict)
+		}
 		if st.PathSimWall <= 0 || st.PredictWall <= 0 {
 			t.Errorf("staged=%v: walls PathSim=%v Predict=%v, want both > 0",
 				staged, st.PathSimWall, st.PredictWall)

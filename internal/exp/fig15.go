@@ -74,6 +74,7 @@ func RunFig15(ctx context.Context, s Scale, net *model.Net, w io.Writer) (*Fig15
 		}
 		// m3 per-bucket predictions.
 		fs, err := sc.RunFlowSimContext(ctx)
+		sc.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -69,6 +69,7 @@ func RunFig2(ctx context.Context, s Scale, w io.Writer) ([]Fig2Result, error) {
 			res.HopHist[p.Hops()]++
 			res.FgCounts = append(res.FgCounts, len(p.Fg))
 			res.BgCounts = append(res.BgCounts, sc.NumBg())
+			sc.Release()
 			var truth []float64
 			for _, id := range fg.Orig {
 				truth = append(truth, gt.Result.Slowdown[id])

@@ -11,10 +11,11 @@
 package flowsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"m3/internal/topo"
@@ -152,6 +153,51 @@ func MaxMinRates(caps []float64, routes [][]int32) []float64 {
 	return rates
 }
 
+// Input is flowSim's flat simulation input. Links are described by Rates
+// and Delays, indexed by link; flows by Sizes and Arrivals, indexed by flow.
+// Flow i crosses links Routes[RouteOff[i]:RouteOff[i+1]] in order, so
+// RouteOff has one more entry than there are flows. Arrival ties are broken
+// by flow index.
+type Input struct {
+	Rates    []unit.Rate
+	Delays   []unit.Time
+	Sizes    []unit.ByteSize
+	Arrivals []unit.Time
+	Routes   []int32
+	RouteOff []int32
+}
+
+// route returns flow i's links.
+func (in *Input) route(i int) []int32 { return in.Routes[in.RouteOff[i]:in.RouteOff[i+1]] }
+
+// validate checks that the input's slices agree in length and that every
+// route is non-empty and names existing links.
+func (in *Input) validate() error {
+	n := len(in.Sizes)
+	if len(in.Rates) != len(in.Delays) {
+		return fmt.Errorf("flowsim: %d link rates but %d delays", len(in.Rates), len(in.Delays))
+	}
+	if len(in.Arrivals) != n || len(in.RouteOff) != n+1 {
+		return fmt.Errorf("flowsim: %d sizes, %d arrivals and %d route offsets disagree",
+			n, len(in.Arrivals), len(in.RouteOff))
+	}
+	if in.RouteOff[0] != 0 || int(in.RouteOff[n]) != len(in.Routes) {
+		return fmt.Errorf("flowsim: route offsets span [%d,%d), want [0,%d)",
+			in.RouteOff[0], in.RouteOff[n], len(in.Routes))
+	}
+	for i := 0; i < n; i++ {
+		if in.RouteOff[i+1] <= in.RouteOff[i] {
+			return fmt.Errorf("flowsim: flow %d has no route", i)
+		}
+	}
+	for _, l := range in.Routes {
+		if l < 0 || int(l) >= len(in.Rates) {
+			return fmt.Errorf("flowsim: link %d out of range [0,%d)", l, len(in.Rates))
+		}
+	}
+	return nil
+}
+
 // Run simulates the flows on t and returns per-flow FCTs and slowdowns.
 // Flows need not be sorted; results are indexed by FlowID, which must be
 // dense in [0, len(flows)).
@@ -159,60 +205,20 @@ func Run(t *topo.Topology, flows []workload.Flow) (*Result, error) {
 	return RunContext(context.Background(), t, flows)
 }
 
-// ctxPollInterval is how many event-loop iterations pass between
-// cancellation checks; polling is O(1) but not free, so it is amortized.
-const ctxPollInterval = 512
-
-// active is one in-flight flow's fluid state.
-type active struct {
-	idx       int     // index into flows
-	remaining float64 // wire bits left
-	rate      float64 // bits/s
-}
-
-// runScratch bundles every intermediate a simulation run needs, recycled via
-// a sync.Pool so steady-state callers (the estimator featurizing hundreds of
-// paths per request) only allocate the returned Result.
-type runScratch struct {
-	order    []int
-	caps     []float64
-	routeIdx []int32 // all routes, flattened
-	routeOff []int   // n+1 offsets into routeIdx
-	routes32 [][]int32
-	routes   [][]int32 // active-set views passed to the allocator
-	act      []active
-	rateBuf  []float64
-	alloc    allocator
-}
-
-var runPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-// RunContext is Run with cooperative cancellation: the event loop polls ctx
-// every few hundred iterations and aborts with ctx.Err() once it is done,
-// so callers (the estimation service) can cut short abandoned simulations.
+// RunContext is Run with cooperative cancellation. It lays the topology and
+// flows out as an Input, each flow at the index of its ID, and simulates it.
 func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*Result, error) {
 	n := len(flows)
-	res := &Result{
-		FCT:      make([]unit.Time, n),
-		Slowdown: make([]float64, n),
+	in := Input{
+		Rates:    make([]unit.Rate, len(t.Links)),
+		Delays:   make([]unit.Time, len(t.Links)),
+		Sizes:    make([]unit.ByteSize, n),
+		Arrivals: make([]unit.Time, n),
+		RouteOff: make([]int32, n+1),
 	}
-	if n == 0 {
-		return res, nil
+	for i := range t.Links {
+		in.Rates[i], in.Delays[i] = t.Links[i].Rate, t.Links[i].Delay
 	}
-	sc := runPool.Get().(*runScratch)
-	defer runPool.Put(sc)
-	order := sc.order[:0]
-	for i := 0; i < n; i++ {
-		order = append(order, i)
-	}
-	sc.order = order
-	sort.Slice(order, func(a, b int) bool {
-		fa, fb := &flows[order[a]], &flows[order[b]]
-		if fa.Arrival != fb.Arrival {
-			return fa.Arrival < fb.Arrival
-		}
-		return fa.ID < fb.ID
-	})
 	for i := range flows {
 		f := &flows[i]
 		if int(f.ID) < 0 || int(f.ID) >= n {
@@ -221,32 +227,97 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 		if len(f.Route) == 0 {
 			return nil, fmt.Errorf("flowsim: flow %d has no route", f.ID)
 		}
+		if in.RouteOff[f.ID+1] != 0 {
+			return nil, fmt.Errorf("flowsim: duplicate flow ID %d", f.ID)
+		}
+		in.RouteOff[f.ID+1] = int32(len(f.Route))
+		in.Sizes[f.ID], in.Arrivals[f.ID] = f.Size, f.Arrival
 	}
-
-	caps := sc.caps[:0]
-	for i := range t.Links {
-		caps = append(caps, float64(t.Links[i].Rate)) // bits/s
+	for i := 0; i < n; i++ {
+		in.RouteOff[i+1] += in.RouteOff[i]
 	}
-	sc.caps = caps
-	// Pre-convert routes once (into one flat slab) so the per-event recompute
-	// allocates nothing.
-	routeIdx, routeOff := sc.routeIdx[:0], sc.routeOff[:0]
+	in.Routes = make([]int32, in.RouteOff[n])
 	for i := range flows {
-		routeOff = append(routeOff, len(routeIdx))
-		for _, l := range flows[i].Route {
-			routeIdx = append(routeIdx, int32(l))
+		f := &flows[i]
+		dst := in.Routes[in.RouteOff[f.ID]:]
+		for k, l := range f.Route {
+			dst[k] = int32(l)
 		}
 	}
-	routeOff = append(routeOff, len(routeIdx))
-	sc.routeIdx, sc.routeOff = routeIdx, routeOff
-	routes32 := sc.routes32[:0]
-	for i := 0; i < n; i++ {
-		routes32 = append(routes32, routeIdx[routeOff[i]:routeOff[i+1]])
+	res := &Result{}
+	if err := in.Run(ctx, res); err != nil {
+		return nil, err
 	}
-	sc.routes32 = routes32
+	return res, nil
+}
+
+// ctxPollInterval is how many event-loop iterations pass between
+// cancellation checks; polling is O(1) but not free, so it is amortized.
+const ctxPollInterval = 512
+
+// active is one in-flight flow's fluid state.
+type active struct {
+	idx       int     // flow index
+	remaining float64 // wire bits left
+	rate      float64 // bits/s
+	route     []int32
+}
+
+// runScratch bundles every intermediate a simulation run needs, recycled via
+// a sync.Pool so steady-state callers (the estimator featurizing hundreds of
+// paths per request) allocate nothing but what they keep.
+type runScratch struct {
+	order   []int
+	caps    []float64
+	routes  [][]int32 // active-set views passed to the allocator
+	act     []active
+	rateBuf []float64
+	hopRate []unit.Rate // one route's link rates, for the ideal FCT
+	hopDel  []unit.Time // one route's link delays
+	alloc   allocator
+}
+
+var runPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// Run simulates the input, writing flow i's FCT and slowdown to
+// res.FCT[i] and res.Slowdown[i]. res's slices are resized to the flow
+// count, reusing their capacity. The event loop polls ctx every few hundred
+// iterations and aborts with ctx.Err() once it is done, so callers (the
+// estimation service) can cut short abandoned simulations.
+func (in *Input) Run(ctx context.Context, res *Result) error {
+	if err := in.validate(); err != nil {
+		return err
+	}
+	n := len(in.Sizes)
+	res.FCT = resize(res.FCT, n)
+	res.Slowdown = resize(res.Slowdown, n)
+	if n == 0 {
+		return nil
+	}
+	sc := runPool.Get().(*runScratch)
+	defer runPool.Put(sc)
+	arrivals := in.Arrivals
+	order := sc.order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, i)
+	}
+	sc.order = order
+	slices.SortFunc(order, func(a, b int) int {
+		if arrivals[a] != arrivals[b] {
+			return cmp.Compare(arrivals[a], arrivals[b])
+		}
+		return cmp.Compare(a, b)
+	})
+
+	caps := sc.caps[:0]
+	for _, r := range in.Rates {
+		caps = append(caps, float64(r)) // bits/s
+	}
+	sc.caps = caps
 
 	act := sc.act[:0]
 	routes := sc.routes[:0] // scratch for the allocator's active set
+	hopRate, hopDel := sc.hopRate, sc.hopDel
 
 	const eps = 1e-6 // bits; completion tolerance
 	// done reports whether an active flow should be considered complete. The
@@ -264,11 +335,14 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 	rateBuf := sc.rateBuf
 	// Hand the (possibly re-grown) buffers back to the scratch on every exit
 	// so the pool keeps their capacity.
-	defer func() { sc.act, sc.routes, sc.rateBuf = act, routes, rateBuf }()
+	defer func() {
+		sc.act, sc.routes, sc.rateBuf = act, routes, rateBuf
+		sc.hopRate, sc.hopDel = hopRate, hopDel
+	}()
 	recompute := func() {
 		routes = routes[:0]
 		for i := range act {
-			routes = append(routes, routes32[act[i].idx])
+			routes = append(routes, act[i].route)
 		}
 		if cap(rateBuf) < len(act) {
 			rateBuf = make([]float64, len(act)*2)
@@ -285,7 +359,7 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 		if iter++; iter%ctxPollInterval == 0 {
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
@@ -302,41 +376,37 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 		// Next arrival.
 		ta := math.Inf(1)
 		if next < n {
-			ta = flows[order[next]].Arrival.Seconds()
+			ta = arrivals[order[next]].Seconds()
 		}
 		tNext := math.Min(tc, ta)
 		if math.IsInf(tNext, 1) {
-			return nil, fmt.Errorf("flowsim: stalled with %d active flows (zero rates)", len(act))
+			return fmt.Errorf("flowsim: stalled with %d active flows (zero rates)", len(act))
 		}
 		dt := tNext - now
 		if dt > 0 {
 			for i := range act {
 				act[i].remaining -= act[i].rate * dt
 			}
-			now = tNext
-		} else {
-			now = tNext
 		}
+		now = tNext
 
 		changed := false
 		// Completions: remove drained flows (swap-remove).
 		for i := 0; i < len(act); {
 			if done(act[i].remaining, act[i].rate) {
 				fi := act[i].idx
-				f := &flows[fi]
-				fluid := unit.FromSeconds(now - f.Arrival.Seconds())
-				rates := t.RouteRates(f.Route)
-				delays := t.RouteDelays(f.Route)
-				ideal := unit.IdealFCT(f.Size, rates, delays)
-				bottleneck := rates[0]
-				for _, r := range rates {
-					if r < bottleneck {
-						bottleneck = r
-					}
+				size := in.Sizes[fi]
+				fluid := unit.FromSeconds(now - arrivals[fi].Seconds())
+				hopRate, hopDel = hopRate[:0], hopDel[:0]
+				for _, l := range act[i].route {
+					hopRate = append(hopRate, in.Rates[l])
+					hopDel = append(hopDel, in.Delays[l])
 				}
+				ideal := unit.IdealFCT(size, hopRate, hopDel)
+				bottleneck := slices.Min(hopRate)
 				// Latency factor: everything in the ideal FCT except the
 				// bottleneck serialization, which the fluid model covers.
-				latency := ideal - unit.TxTime(unit.WireSize(f.Size), bottleneck)
+				latency := ideal - unit.TxTime(unit.WireSize(size), bottleneck)
 				fct := fluid + latency
 				if fct < ideal {
 					// The fluid drain is continuous-time while the ideal
@@ -344,8 +414,8 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 					// an uncontended flow has slowdown exactly 1.
 					fct = ideal
 				}
-				res.FCT[f.ID] = fct
-				res.Slowdown[f.ID] = float64(fct) / float64(ideal)
+				res.FCT[fi] = fct
+				res.Slowdown[fi] = float64(fct) / float64(ideal)
 				act[i] = act[len(act)-1]
 				act = act[:len(act)-1]
 				changed = true
@@ -354,11 +424,12 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 			i++
 		}
 		// Arrivals at this instant.
-		for next < n && flows[order[next]].Arrival.Seconds() <= now+1e-15 {
-			f := &flows[order[next]]
+		for next < n && arrivals[order[next]].Seconds() <= now+1e-15 {
+			fi := order[next]
 			act = append(act, active{
-				idx:       order[next],
-				remaining: float64(f.WireSize().Bits()),
+				idx:       fi,
+				remaining: float64(unit.WireSize(in.Sizes[fi]).Bits()),
+				route:     in.route(fi),
 			})
 			next++
 			changed = true
@@ -370,10 +441,18 @@ func RunContext(ctx context.Context, t *topo.Topology, flows []workload.Flow) (*
 			}
 		} else if dt <= 0 {
 			if stalls++; stalls > 1000 {
-				return nil, fmt.Errorf("flowsim: event loop stalled at t=%.9fs with %d active flows",
+				return fmt.Errorf("flowsim: event loop stalled at t=%.9fs with %d active flows",
 					now, len(act))
 			}
 		}
 	}
-	return res, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its capacity when it suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -1,6 +1,7 @@
 package flowsim
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -246,9 +247,26 @@ func TestRunErrors(t *testing.T) {
 	if err == nil {
 		t.Error("missing route accepted")
 	}
+	_, err = Run(p.Topology, []workload.Flow{{ID: 0, Route: route}, {ID: 0, Route: route}})
+	if err == nil {
+		t.Error("duplicate ID accepted")
+	}
+	_, err = Run(p.Topology, []workload.Flow{{ID: 0, Route: []topo.LinkID{topo.LinkID(p.NumLinks())}}})
+	if err == nil {
+		t.Error("out-of-range link accepted")
+	}
 	res, err := Run(p.Topology, nil)
 	if err != nil || len(res.FCT) != 0 {
 		t.Error("empty input should succeed with empty result")
+	}
+	// A flat input whose slices disagree is refused before simulating.
+	bad := &Input{
+		Rates: []unit.Rate{unit.Gbps}, Delays: []unit.Time{0},
+		Sizes: []unit.ByteSize{1000}, Arrivals: []unit.Time{0},
+		Routes: []int32{0}, RouteOff: []int32{0},
+	}
+	if err := bad.Run(context.Background(), &Result{}); err == nil {
+		t.Error("input with a missing route offset accepted")
 	}
 }
 

@@ -359,3 +359,41 @@ func TestGradClipBoundsUpdate(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchSettlesToOneSlab: batches of varying shape strand slab space,
+// but after any cycle that spilled into a second slab the Scratch swaps to
+// one slab sized to that demand, so a recycled Scratch stays bounded by its
+// largest batch. Buffers handed out within a cycle never overlap.
+func TestScratchSettlesToOneSlab(t *testing.T) {
+	r := rng.New(14)
+	s := new(Scratch)
+	largest := 0
+	for cycle := 0; cycle < 200; cycle++ {
+		var bufs [][]float64
+		used := 0
+		for k := 0; k < 6; k++ {
+			n := 1 + r.Intn(3*minSlabFloats)
+			b := s.FloatsUninit(n)
+			for i := range b {
+				b[i] = float64(k)
+			}
+			bufs = append(bufs, b)
+			used += n
+		}
+		for k, b := range bufs {
+			for _, v := range b {
+				if v != float64(k) {
+					t.Fatalf("cycle %d: buffer %d was overwritten by a later one", cycle, k)
+				}
+			}
+		}
+		largest = max(largest, used)
+		s.Reset()
+		if len(s.f64.list) != 1 {
+			t.Fatalf("cycle %d: %d slabs after reset, want 1", cycle, len(s.f64.list))
+		}
+		if got := len(s.f64.list[0]); got > largest+largest/4 {
+			t.Fatalf("cycle %d: slab of %d floats exceeds 1.25 x largest demand %d", cycle, got, largest)
+		}
+	}
+}

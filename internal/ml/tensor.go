@@ -37,36 +37,59 @@ type Scratch struct {
 	// single-goroutine: kernels carve every buffer before spawning workers.
 	Par int
 
-	slabs [][]float64
-	cur   int // slab currently being bump-allocated
-	off   int // next free float in slabs[cur]
+	f64  slabs[float64]
+	ints slabs[int]
+	i8   slabs[int8]
+	i32  slabs[int32]
+	u64  slabs[uint64]
+}
 
-	intSlabs [][]int
-	intCur   int
-	intOff   int
+// slabs bump-allocates buffers of T from a list of slabs. A buffer that
+// does not fit the rest of the current slab moves on to the next one, so
+// batches of varying shape can strand slab space; when a cycle (Reset to
+// Reset) spilled past its first slab, reset swaps the list for one slab
+// with room for that cycle's whole demand plus a quarter. A long-lived
+// Scratch thus settles at one slab sized to its largest batch instead of
+// accumulating slabs.
+type slabs[T any] struct {
+	list [][]T
+	cur  int // slab currently being bump-allocated
+	off  int // next free element in list[cur]
+	used int // elements handed out since the last reset
+}
 
-	i8Slabs [][]int8
-	i8Cur   int
-	i8Off   int
+func (a *slabs[T]) take(n, minSlab int) []T {
+	a.used += n
+	for a.cur < len(a.list) {
+		if slab := a.list[a.cur]; a.off+n <= len(slab) {
+			out := slab[a.off : a.off+n : a.off+n]
+			a.off += n
+			return out
+		}
+		a.cur++
+		a.off = 0
+	}
+	a.list = append(a.list, make([]T, max(n, minSlab)))
+	a.off = n
+	return a.list[a.cur][:n:n]
+}
 
-	i32Slabs [][]int32
-	i32Cur   int
-	i32Off   int
-
-	u64Slabs [][]uint64
-	u64Cur   int
-	u64Off   int
+func (a *slabs[T]) reset() {
+	if len(a.list) > 1 {
+		a.list = [][]T{make([]T, a.used+a.used/4)}
+	}
+	a.cur, a.off, a.used = 0, 0, 0
 }
 
 // Reset releases every outstanding buffer at once. Slabs are retained; Par
 // is cleared so a recycled Scratch defaults back to serial kernels.
 func (s *Scratch) Reset() {
 	s.Par = 0
-	s.cur, s.off = 0, 0
-	s.intCur, s.intOff = 0, 0
-	s.i8Cur, s.i8Off = 0, 0
-	s.i32Cur, s.i32Off = 0, 0
-	s.u64Cur, s.u64Off = 0, 0
+	s.f64.reset()
+	s.ints.reset()
+	s.i8.reset()
+	s.i32.reset()
+	s.u64.reset()
 }
 
 // Floats returns a zeroed length-n buffer valid until Reset.
@@ -79,96 +102,29 @@ func (s *Scratch) Floats(n int) []float64 {
 // FloatsUninit is Floats without the zeroing, for buffers the caller fully
 // overwrites before reading (most layer outputs). Contents are whatever the
 // previous batch left in the slab.
-func (s *Scratch) FloatsUninit(n int) []float64 {
-	for s.cur < len(s.slabs) {
-		if slab := s.slabs[s.cur]; s.off+n <= len(slab) {
-			out := slab[s.off : s.off+n : s.off+n]
-			s.off += n
-			return out
-		}
-		s.cur++
-		s.off = 0
-	}
-	s.slabs = append(s.slabs, make([]float64, max(n, minSlabFloats)))
-	out := s.slabs[s.cur][:n:n]
-	s.off = n
-	return out
-}
+func (s *Scratch) FloatsUninit(n int) []float64 { return s.f64.take(n, minSlabFloats) }
 
 // Ints returns a zeroed length-n int buffer valid until Reset.
 func (s *Scratch) Ints(n int) []int {
-	for s.intCur < len(s.intSlabs) {
-		if slab := s.intSlabs[s.intCur]; s.intOff+n <= len(slab) {
-			out := slab[s.intOff : s.intOff+n : s.intOff+n]
-			s.intOff += n
-			clear(out)
-			return out
-		}
-		s.intCur++
-		s.intOff = 0
-	}
-	s.intSlabs = append(s.intSlabs, make([]int, max(n, 256)))
-	out := s.intSlabs[s.intCur][:n:n]
-	s.intOff = n
+	out := s.ints.take(n, 256)
+	clear(out)
 	return out
 }
 
 // Int8sUninit returns a length-n int8 buffer valid until Reset, without
 // zeroing. The quantized inference path uses these for per-row activation
 // quantization, where every byte is written before being read.
-func (s *Scratch) Int8sUninit(n int) []int8 {
-	for s.i8Cur < len(s.i8Slabs) {
-		if slab := s.i8Slabs[s.i8Cur]; s.i8Off+n <= len(slab) {
-			out := slab[s.i8Off : s.i8Off+n : s.i8Off+n]
-			s.i8Off += n
-			return out
-		}
-		s.i8Cur++
-		s.i8Off = 0
-	}
-	s.i8Slabs = append(s.i8Slabs, make([]int8, max(n, 1024)))
-	out := s.i8Slabs[s.i8Cur][:n:n]
-	s.i8Off = n
-	return out
-}
+func (s *Scratch) Int8sUninit(n int) []int8 { return s.i8.take(n, 1024) }
 
 // Int32sUninit returns a length-n int32 buffer valid until Reset, without
 // zeroing. The quantized GEMM widens each activation row into one of these
 // once, so the inner loops sign-extend only the weight bytes.
-func (s *Scratch) Int32sUninit(n int) []int32 {
-	for s.i32Cur < len(s.i32Slabs) {
-		if slab := s.i32Slabs[s.i32Cur]; s.i32Off+n <= len(slab) {
-			out := slab[s.i32Off : s.i32Off+n : s.i32Off+n]
-			s.i32Off += n
-			return out
-		}
-		s.i32Cur++
-		s.i32Off = 0
-	}
-	s.i32Slabs = append(s.i32Slabs, make([]int32, max(n, 1024)))
-	out := s.i32Slabs[s.i32Cur][:n:n]
-	s.i32Off = n
-	return out
-}
+func (s *Scratch) Int32sUninit(n int) []int32 { return s.i32.take(n, 1024) }
 
 // Uint64sUninit returns a length-n uint64 buffer valid until Reset, without
 // zeroing. The quantized GEMM biases each activation row into one of these
 // once per row for the SWAR kernel.
-func (s *Scratch) Uint64sUninit(n int) []uint64 {
-	for s.u64Cur < len(s.u64Slabs) {
-		if slab := s.u64Slabs[s.u64Cur]; s.u64Off+n <= len(slab) {
-			out := slab[s.u64Off : s.u64Off+n : s.u64Off+n]
-			s.u64Off += n
-			return out
-		}
-		s.u64Cur++
-		s.u64Off = 0
-	}
-	s.u64Slabs = append(s.u64Slabs, make([]uint64, max(n, 1024)))
-	out := s.u64Slabs[s.u64Cur][:n:n]
-	s.u64Off = n
-	return out
-}
+func (s *Scratch) Uint64sUninit(n int) []uint64 { return s.u64.take(n, 1024) }
 
 // Tensor returns a zeroed rows x cols tensor backed by the scratch.
 func (s *Scratch) Tensor(rows, cols int) Tensor {

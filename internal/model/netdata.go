@@ -149,6 +149,7 @@ func networkSamples(ctx context.Context, r *rng.RNG, nc NetworkDataConfig) ([]*S
 		}
 		fs, err := sc.RunFlowSimContext(ctx)
 		if err != nil {
+			sc.Release()
 			return nil, err
 		}
 		s := BuildInputs(fs.Fg.Sizes, fs.Fg.Slowdown, fs.BgSizes, fs.BgSldn, cfg,
@@ -164,10 +165,12 @@ func networkSamples(ctx context.Context, r *rng.RNG, nc NetworkDataConfig) ([]*S
 		} else {
 			gt, err := sc.RunPacketContext(ctx, cfg) // ns-3-path ground truth
 			if err != nil {
+				sc.Release()
 				return nil, err
 			}
 			s.SetTarget(gt.Sizes, gt.Slowdown)
 		}
+		sc.Release()
 		out = append(out, s)
 	}
 	return out, nil

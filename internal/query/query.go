@@ -243,6 +243,7 @@ func (s *Session) pathOutput(ctx context.Context, d *pathsim.Decomposition, p *p
 		return agg.PathOutput{}, err
 	}
 	fs, err := sc.RunFlowSimContext(ctx)
+	sc.Release()
 	if err != nil {
 		return agg.PathOutput{}, err
 	}

@@ -205,6 +205,11 @@ func TestDeadlinePropagationShedsDoomedShard(t *testing.T) {
 	if len(resp.Outs) != 2 {
 		t.Fatalf("got %d outputs, want 2", len(resp.Outs))
 	}
+	// Every per-path stage crosses the wire to the coordinator.
+	if resp.ScenarioNs <= 0 || resp.PathSimNs <= 0 || resp.FeaturizeNs <= 0 || resp.PredictNs <= 0 {
+		t.Errorf("shard stages scenario=%d pathsim=%d featurize=%d predict=%d ns, want all > 0",
+			resp.ScenarioNs, resp.PathSimNs, resp.FeaturizeNs, resp.PredictNs)
+	}
 }
 
 // TestDeadlinePropagationCacheWait: the cachefetch Wait path sheds doomed

@@ -373,6 +373,10 @@ func TestClusterScatterParity(t *testing.T) {
 		t.Fatalf("scatter-gathered quantiles differ from single-process:\nsolo:  %s\nfleet: %s",
 			recSolo.Body.String(), recFleet.Body.String())
 	}
+	if a.metrics.scenarioNs.Load() <= 0 || a.metrics.featurizeNs.Load() <= 0 {
+		t.Errorf("scattered estimate stages scenario=%d featurize=%d ns, want both > 0",
+			a.metrics.scenarioNs.Load(), a.metrics.featurizeNs.Load())
+	}
 }
 
 // TestClusterScatterPeerDeath: killing a replica mid-scatter degrades the

@@ -132,15 +132,7 @@ func (s *Server) handleInternalPaths(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorCode(r, err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, cluster.PathsResponse{
-		Outs:          sr.Outs,
-		PathSimNs:     sr.PathSimNs,
-		PredictNs:     sr.PredictNs,
-		PathSimWallNs: sr.PathSimWallNs,
-		PredictWallNs: sr.PredictWallNs,
-		OverlapNs:     sr.OverlapNs,
-		DegradedPaths: sr.DegradedPaths,
-	})
+	writeJSON(w, http.StatusOK, sr)
 }
 
 // --- two-tier cache: owner side --------------------------------------------

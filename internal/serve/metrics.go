@@ -129,13 +129,15 @@ type Metrics struct {
 	syncErrors            atomic.Int64
 	invalidations         atomic.Int64
 
-	// Cumulative per-stage estimator time (ns). The pathSim/predict pair is
-	// CPU time summed across pool workers; the wall pair is per-estimate
-	// elapsed time, and overlapNs how much of the two extents ran
-	// concurrently under the streamed pipeline.
+	// Cumulative per-stage estimator time (ns). The scenario, pathSim,
+	// featurize and predict stages are CPU time summed across pool workers;
+	// the wall pair is per-estimate elapsed time, and overlapNs how much of
+	// the two extents ran concurrently under the streamed pipeline.
 	decomposeNs   atomic.Int64
 	sampleNs      atomic.Int64
+	scenarioNs    atomic.Int64
 	pathSimNs     atomic.Int64
+	featurizeNs   atomic.Int64
 	predictNs     atomic.Int64
 	aggregateNs   atomic.Int64
 	pathSimWallNs atomic.Int64
@@ -180,7 +182,9 @@ func (m *Metrics) recordStages(st core.StageTimings) {
 	m.estimates.Add(1)
 	m.decomposeNs.Add(int64(st.Decompose))
 	m.sampleNs.Add(int64(st.Sample))
+	m.scenarioNs.Add(int64(st.ScenarioBuild))
 	m.pathSimNs.Add(int64(st.PathSim))
+	m.featurizeNs.Add(int64(st.Featurize))
 	m.predictNs.Add(int64(st.Predict))
 	m.aggregateNs.Add(int64(st.Aggregate))
 	m.pathSimWallNs.Add(int64(st.PathSimWall))
@@ -274,7 +278,9 @@ func (m *Metrics) snapshot(cacheStats core.CacheStats, modelParams int, modelFP 
 		"stages_ms": map[string]any{
 			"decompose":    ms(&m.decomposeNs),
 			"sample":       ms(&m.sampleNs),
+			"scenario":     ms(&m.scenarioNs),
 			"pathsim":      ms(&m.pathSimNs),
+			"featurize":    ms(&m.featurizeNs),
 			"predict":      ms(&m.predictNs),
 			"aggregate":    ms(&m.aggregateNs),
 			"pathsim_wall": ms(&m.pathSimWallNs),

@@ -29,6 +29,11 @@ func TestServeWallTimingsAndEstimatorMetrics(t *testing.T) {
 		t.Errorf("wall stages = %v/%v ms, want both > 0",
 			est.StagesMS["pathsim_wall"], est.StagesMS["predict_wall"])
 	}
+	for _, k := range []string{"scenario", "pathsim", "featurize", "predict"} {
+		if est.StagesMS[k] <= 0 {
+			t.Errorf("stages_ms[%q] = %v, want > 0 on a cold ML estimate", k, est.StagesMS[k])
+		}
+	}
 	if ov := est.StagesMS["overlap"]; ov < 0 {
 		t.Errorf("overlap = %v ms, want >= 0", ov)
 	}
@@ -52,6 +57,10 @@ func TestServeWallTimingsAndEstimatorMetrics(t *testing.T) {
 	if m.StagesMS["pathsim_wall"] <= 0 || m.StagesMS["predict_wall"] <= 0 {
 		t.Errorf("metrics wall stages = %v/%v ms, want both > 0",
 			m.StagesMS["pathsim_wall"], m.StagesMS["predict_wall"])
+	}
+	if m.StagesMS["scenario"] <= 0 || m.StagesMS["featurize"] <= 0 {
+		t.Errorf("metrics stages scenario=%v featurize=%v ms, want both > 0",
+			m.StagesMS["scenario"], m.StagesMS["featurize"])
 	}
 	if m.OverlapRatio < 0 || m.OverlapRatio > 1 {
 		t.Errorf("metrics overlap_ratio = %v, want [0,1]", m.OverlapRatio)

@@ -644,13 +644,7 @@ func (s *Server) scatterEstimate(ctx context.Context, est *core.Estimator,
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Assemble(sr.Outs, core.StageTimings{
-		PathSim:     time.Duration(sr.PathSimNs),
-		Predict:     time.Duration(sr.PredictNs),
-		PathSimWall: time.Duration(sr.PathSimWallNs),
-		PredictWall: time.Duration(sr.PredictWallNs),
-		Overlap:     time.Duration(sr.OverlapNs),
-	}, sr.DegradedPaths)
+	res, err := plan.Assemble(sr.Outs, sr.Stages(), sr.DegradedPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -852,13 +846,16 @@ func estimateToResponse(wl *Workload, method core.Method, backend string, res *c
 		StagesMS: map[string]float64{
 			"decompose": ms(res.Stages.Decompose),
 			"sample":    ms(res.Stages.Sample),
+			"scenario":  ms(res.Stages.ScenarioBuild),
 			"pathsim":   ms(res.Stages.PathSim),
+			"featurize": ms(res.Stages.Featurize),
 			"predict":   ms(res.Stages.Predict),
 			"aggregate": ms(res.Stages.Aggregate),
-			// Wall-clock extents: pathsim/predict above are CPU time summed
-			// across pool workers (they double-count under parallelism); the
-			// _wall keys are elapsed time per stage, and overlap is how much
-			// of the two extents ran concurrently.
+			// Wall-clock extents: scenario, pathsim (flowSim or the packet
+			// simulator alone), featurize and predict above are CPU time
+			// summed across pool workers (they double-count under
+			// parallelism); the _wall keys are elapsed time per stage, and
+			// overlap is how much of the two extents ran concurrently.
 			"pathsim_wall": ms(res.Stages.PathSimWall),
 			"predict_wall": ms(res.Stages.PredictWall),
 			"overlap":      ms(res.Stages.Overlap),
