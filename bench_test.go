@@ -555,7 +555,8 @@ func BenchmarkAblationKnockout(b *testing.B) {
 
 // BenchmarkServeEstimate measures the serving layer's estimate latency
 // through the full HTTP handler, cold (every iteration a fresh cache key)
-// versus warm (every iteration the same key, served from the LRU).
+// versus warm (every iteration the same key, served from the LRU), plus a
+// warm /v1/quantiles query on that key.
 func BenchmarkServeEstimate(b *testing.B) {
 	net, _ := benchNets(b)
 	srv, err := serve.New(serve.Options{Net: net, CacheSize: 1 << 16})
@@ -599,6 +600,20 @@ func BenchmarkServeEstimate(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			estimate(1)
+		}
+	})
+	// A warm /v1/quantiles hit: the per-bucket and combined quantiles of a
+	// cached estimate, the combined ones memoized after the first call.
+	b.Run("quantiles", func(b *testing.B) {
+		estimate(1) // prime
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET",
+				"/v1/quantiles?workload=bench&paths=100&seed=1&q=0.5,0.9,0.99,0.999", nil))
+			if rec.Code != 200 {
+				b.Fatalf("quantiles: %d %s", rec.Code, rec.Body.String())
+			}
 		}
 	})
 }

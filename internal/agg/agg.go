@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"m3/internal/feature"
 	"m3/internal/stats"
@@ -44,12 +45,27 @@ func (p *PathOutput) Validate() error {
 	return nil
 }
 
-// NetworkEstimate is the aggregated result.
+// maxMemoQuantiles caps how many distinct combined quantiles one
+// NetworkEstimate remembers. Serving asks for a handful (p99 plus the
+// /v1/quantiles list); q values past the cap are computed afresh each call.
+const maxMemoQuantiles = 8
+
+// NetworkEstimate is the aggregated result. The pooled samples and weights
+// never change after Aggregate or FromSnapshot returns. CombinedQuantile
+// memoizes its answers per q in a small fixed-size memo guarded by memoMu,
+// so a cached estimate answers repeat queries without re-merging its
+// samples; all methods are safe for concurrent use. A NetworkEstimate must
+// not be copied.
 type NetworkEstimate struct {
 	// pooled[b] holds the sorted pooled percentile samples of bucket b.
 	pooled [][]float64
 	// weight[b] is the total (multiplicity-weighted) flow count of bucket b.
 	weight []float64
+
+	memoMu sync.Mutex
+	// memo[:memoN] holds the combined quantiles computed so far.
+	memo  [maxMemoQuantiles]struct{ q, v float64 }
+	memoN int
 }
 
 // Aggregate pools the sampled paths' outputs.
@@ -85,11 +101,10 @@ func Aggregate(outs []PathOutput) (*NetworkEstimate, error) {
 // BucketQuantile returns the q-quantile (q in [0,1]) of bucket b's pooled
 // distribution, or NaN if the bucket is empty network-wide.
 func (e *NetworkEstimate) BucketQuantile(b int, q float64) float64 {
-	if b < 0 || b >= len(e.pooled) || len(e.pooled[b]) == 0 {
+	if b < 0 || b >= len(e.pooled) {
 		return math.NaN()
 	}
-	c := stats.NewCDF(e.pooled[b])
-	return c.Quantile(q)
+	return stats.SortedQuantile(e.pooled[b], q)
 }
 
 // BucketP99 returns the 99th-percentile slowdown of bucket b.
@@ -115,7 +130,27 @@ func (e *NetworkEstimate) BucketSamples(b int) []float64 {
 // CombinedQuantile merges the bucket distributions into one, weighting each
 // bucket by its flow count (the paper's probabilistic bucket sampling, done
 // deterministically via a weighted quantile), and returns the q-quantile.
+// The first maxMemoQuantiles distinct q values are computed once and
+// remembered; concurrent callers wait for an in-progress computation rather
+// than repeat it.
 func (e *NetworkEstimate) CombinedQuantile(q float64) float64 {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	for _, m := range e.memo[:e.memoN] {
+		if m.q == q {
+			return m.v
+		}
+	}
+	v := e.combinedQuantile(q)
+	if e.memoN < len(e.memo) && !math.IsNaN(q) {
+		e.memo[e.memoN] = struct{ q, v float64 }{q, v}
+		e.memoN++
+	}
+	return v
+}
+
+// combinedQuantile is CombinedQuantile without the memo.
+func (e *NetworkEstimate) combinedQuantile(q float64) float64 {
 	type wv struct {
 		v, w float64
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"m3/internal/faultinject"
@@ -74,10 +75,11 @@ func TestPathPanicIsolated(t *testing.T) {
 	ft, flows := testWorkload(t, 1200, 1)
 	net := tinyTrainedNet(t)
 
-	fired := false
+	// The hook runs on pool workers concurrently; CompareAndSwap lets
+	// exactly one of them panic.
+	var fired atomic.Bool
 	faultinject.Set("core.path", func(detail any) {
-		if !fired {
-			fired = true
+		if fired.CompareAndSwap(false, true) {
 			panic("injected path-sim panic")
 		}
 	})

@@ -127,15 +127,15 @@ func BuildOutput(sizes []unit.ByteSize, sldn []float64) *Map {
 	return Build(sizes, sldn, OutputBucketBounds)
 }
 
-// LogTransform returns log1p of every cell, the model-side input scaling
-// (keeps heavy-tailed slowdowns in a trainable range; zeros stay zero so
-// empty buckets remain distinguishable).
+// LogTransform applies log1p to every cell in place and returns m.Data, the
+// model-side input scaling (keeps heavy-tailed slowdowns in a trainable
+// range; zeros stay zero so empty buckets remain distinguishable). The map
+// holds transformed values afterwards.
 func (m *Map) LogTransform() []float64 {
-	out := make([]float64, len(m.Data))
 	for i, v := range m.Data {
-		out[i] = math.Log1p(v)
+		m.Data[i] = math.Log1p(v)
 	}
-	return out
+	return m.Data
 }
 
 // SpecDim is the length of the network-specification vector.

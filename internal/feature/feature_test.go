@@ -107,6 +107,9 @@ func TestLogTransform(t *testing.T) {
 	if len(lt) != len(m.Data) {
 		t.Error("transform changed length")
 	}
+	if &lt[0] != &m.Data[0] {
+		t.Error("transform allocated a copy instead of working in place")
+	}
 }
 
 func TestSpecVectorOneHot(t *testing.T) {

@@ -139,10 +139,13 @@ func New(cfg Config) (*Net, error) {
 	return n, nil
 }
 
-// Fingerprint returns a cheap identity hash over the architecture and all
+// Fingerprint returns an identity hash over the architecture and all
 // weights, so callers (estimate caches, the serving layer) can tell model
-// versions apart across checkpoint reloads. It must be recomputed after
-// training or mutating weights in place.
+// versions apart across checkpoint reloads. It is a byte-wise FNV-1a over
+// every weight — O(weights), milliseconds on a serving-size model — so
+// compute it once per model, not per request: the serving layer does so once
+// per backend set. It must be recomputed after training or mutating weights
+// in place, which is why a served Net is swapped, never mutated.
 func (n *Net) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

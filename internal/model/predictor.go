@@ -29,8 +29,12 @@ type Predictor interface {
 	// PredictBatch runs inference over a batch, returning one postprocessed
 	// slowdown map per sample (clamped to >= 1, per-bucket monotone).
 	PredictBatch(ctx context.Context, samples []*Sample) ([][]float64, error)
-	// Fingerprint is a cheap identity hash over architecture and weights.
+	// Fingerprint is an identity hash over architecture and weights.
 	// Distinct kinds built from the same weights have distinct fingerprints.
+	// It may cost O(weights) (the float Net hashes every weight byte), so
+	// callers compute it once per predictor — serving does so once per
+	// backend set — and a served predictor must never be mutated in place;
+	// swap in a new one instead.
 	Fingerprint() uint64
 	// SelfCheck probes the model and rejects one that computes garbage.
 	SelfCheck() error

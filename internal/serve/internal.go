@@ -90,13 +90,13 @@ func (s *Server) handleInternalPaths(w http.ResponseWriter, r *http.Request) {
 	if backend == "" {
 		backend = model.KindNet
 	}
-	pred, ok := s.backends.Load().byKind[backend]
+	sm, ok := s.backends.Load().byKind[backend]
 	if !ok {
 		writeErrorCode(w, http.StatusBadRequest, cluster.CodeUnknownBackend,
 			&model.UnknownBackendError{Kind: backend})
 		return
 	}
-	fp := pred.Fingerprint()
+	fp := sm.fp
 	if method == core.MethodML && req.ModelFP != 0 && req.ModelFP != fp {
 		// A reload is propagating through the fleet; mixing model
 		// generations (or backend arithmetic) inside one estimate would
@@ -121,7 +121,7 @@ func (s *Server) handleInternalPaths(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	est := core.NewEstimator(pred,
+	est := core.NewEstimator(sm.pred,
 		core.WithMethod(method),
 		core.WithBatchSize(s.opts.BatchSize),
 		core.WithPool(s.pool),

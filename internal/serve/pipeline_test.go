@@ -79,8 +79,8 @@ func TestPredictParallelismSurvivesReload(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		set := s.backends.Load()
-		for kind, pred := range set.byKind {
-			ps, ok := pred.(model.ParallelismSetter)
+		for kind, sm := range set.byKind {
+			ps, ok := sm.pred.(model.ParallelismSetter)
 			if !ok {
 				t.Fatalf("%s: backend %s lost the parallelism seam", when, kind)
 			}

@@ -117,29 +117,39 @@ type Options struct {
 	Scatter bool
 }
 
+// servedModel is one servable backend: the predictor and its fingerprint,
+// computed once when the backend set is built. Fingerprinting hashes every
+// weight, so no request path recomputes it; a served predictor is never
+// mutated in place — a new checkpoint arrives as a new backend set.
+type servedModel struct {
+	pred model.Predictor
+	fp   uint64
+}
+
 // backendSet is one checkpoint's worth of inference backends: every
 // registered kind built from the same float weights, plus the kind served
 // when a request names none. Swapped atomically as a unit so one estimate
-// never mixes weight generations across backends.
+// never mixes weight generations across backends, and never pairs a
+// predictor with another generation's fingerprint.
 type backendSet struct {
 	// def is the kind served when a request's "backend" field is empty —
 	// the kind of the loaded artifact.
 	def string
-	// byKind holds one ready Predictor per registered backend kind.
-	byKind map[string]model.Predictor
+	// byKind holds one ready backend per registered kind.
+	byKind map[string]servedModel
 }
 
-// resolve maps a request's backend name ("" = default) to a Predictor.
+// resolve maps a request's backend name ("" = default) to its backend.
 // Unknown names return *model.UnknownBackendError.
-func (bs *backendSet) resolve(kind string) (model.Predictor, error) {
+func (bs *backendSet) resolve(kind string) (servedModel, error) {
 	if kind == "" {
 		kind = bs.def
 	}
-	p, ok := bs.byKind[kind]
+	sm, ok := bs.byKind[kind]
 	if !ok {
-		return nil, &model.UnknownBackendError{Kind: kind}
+		return servedModel{}, &model.UnknownBackendError{Kind: kind}
 	}
-	return p, nil
+	return sm, nil
 }
 
 // fingerprints lists every backend's fingerprint in the set — the "keep"
@@ -147,8 +157,8 @@ func (bs *backendSet) resolve(kind string) (model.Predictor, error) {
 // fingerprint per kind).
 func (bs *backendSet) fingerprints() []uint64 {
 	fps := make([]uint64, 0, len(bs.byKind))
-	for _, p := range bs.byKind {
-		fps = append(fps, p.Fingerprint())
+	for _, sm := range bs.byKind {
+		fps = append(fps, sm.fp)
 	}
 	return fps
 }
@@ -262,24 +272,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SwapModel atomically replaces the serving model.
-//
-// Deprecated: use SwapPredictor, which accepts any backend.
-func (s *Server) SwapModel(net *model.Net) { s.SwapPredictor(net) }
-
 // SwapPredictor atomically replaces the serving model with p, rebuilding
 // every registered backend kind from p's float weights (so a float swap also
 // refreshes the int8 backend, and vice versa). p's own kind becomes the
-// default for requests that name no backend. Estimates keyed under
-// fingerprints outside the new set are dropped before the serving
-// fingerprint flips, so an observer of the new fingerprint never finds
-// stale entries (they could never be served again anyway; holding them
-// only wastes capacity).
+// default for requests that name no backend. Each backend is fingerprinted
+// here, once; p must not be mutated afterwards (swap in a new predictor
+// instead). Estimates keyed under fingerprints outside the new set are
+// dropped before the serving fingerprint flips, so an observer of the new
+// fingerprint never finds stale entries (they could never be served again
+// anyway; holding them only wastes capacity).
 func (s *Server) SwapPredictor(p model.Predictor) {
-	set := &backendSet{def: p.Kind(), byKind: map[string]model.Predictor{p.Kind(): p}}
+	preds := map[string]model.Predictor{p.Kind(): p}
 	if src := model.SourceNet(p); src != nil {
 		for _, kind := range model.BackendKinds() {
-			if _, ok := set.byKind[kind]; ok {
+			if _, ok := preds[kind]; ok {
 				continue
 			}
 			alt, err := model.BuildBackend(kind, src)
@@ -289,31 +295,27 @@ func (s *Server) SwapPredictor(p model.Predictor) {
 				// artifact itself still serves.
 				continue
 			}
-			set.byKind[kind] = alt
+			preds[kind] = alt
 		}
 	}
-	// Re-apply the GEMM sharding knob on every swap so it survives reloads
-	// (freshly built backends default to serial).
-	if s.opts.PredictParallelism > 0 {
-		for _, pred := range set.byKind {
+	set := &backendSet{def: p.Kind(), byKind: make(map[string]servedModel, len(preds))}
+	for kind, pred := range preds {
+		// Re-apply the GEMM sharding knob on every swap so it survives
+		// reloads (freshly built backends default to serial).
+		if s.opts.PredictParallelism > 0 {
 			model.SetPredictParallelism(pred, s.opts.PredictParallelism)
 		}
+		set.byKind[kind] = servedModel{pred: pred, fp: pred.Fingerprint()}
 	}
 	s.backends.Store(set)
 	s.cache.InvalidateModel(set.fingerprints()...)
-	s.modelFP.Store(p.Fingerprint())
+	s.modelFP.Store(set.byKind[set.def].fp)
 }
-
-// Model returns the float weights behind the serving model (nil for a
-// foreign backend with no float source).
-//
-// Deprecated: use Predictor.
-func (s *Server) Model() *model.Net { return model.SourceNet(s.Predictor()) }
 
 // Predictor returns the default serving backend.
 func (s *Server) Predictor() model.Predictor {
 	bs := s.backends.Load()
-	return bs.byKind[bs.def]
+	return bs.byKind[bs.def].pred
 }
 
 // Backends lists the backend kinds currently servable, sorted.
@@ -533,10 +535,10 @@ func buildConfig(knobs map[string]string) (packetsim.Config, error) {
 }
 
 // runEstimate serves one (workload, method, config) estimate through the
-// shared cache and pool, under the resolved inference backend pred. The
+// shared cache and pool, under the resolved inference backend sm. The
 // bool reports a cache hit.
 func (s *Server) runEstimate(ctx context.Context, wl *Workload, method core.Method,
-	numPaths int, seed uint64, cfg packetsim.Config, pred model.Predictor) (*core.Estimate, bool, error) {
+	numPaths int, seed uint64, cfg packetsim.Config, sm servedModel) (*core.Estimate, bool, error) {
 
 	if numPaths == 0 {
 		numPaths = 500
@@ -560,8 +562,8 @@ func (s *Server) runEstimate(ctx context.Context, wl *Workload, method core.Meth
 	var fp uint64
 	var backend string
 	if method == core.MethodML {
-		fp = pred.Fingerprint()
-		backend = pred.Kind()
+		fp = sm.fp
+		backend = sm.pred.Kind()
 	}
 	key := core.EstimateKey{
 		Workload: wl.Hash,
@@ -573,7 +575,7 @@ func (s *Server) runEstimate(ctx context.Context, wl *Workload, method core.Meth
 		Backend:  backend,
 	}
 	res, cached, err := s.cache.Do(ctx, key, func() (*core.Estimate, error) {
-		est := core.NewEstimator(pred,
+		est := core.NewEstimator(sm.pred,
 			core.WithMethod(method),
 			core.WithNumPaths(numPaths),
 			core.WithSeed(seed),
@@ -593,7 +595,7 @@ func (s *Server) runEstimate(ctx context.Context, wl *Workload, method core.Meth
 		// estimate toward microseconds.
 		s.metrics.observeEstimateLatency(res.Elapsed)
 		if method == core.MethodML {
-			s.metrics.recordBackend(pred.Kind(), res.Stages.Predict)
+			s.metrics.recordBackend(backend, res.Stages.Predict)
 		}
 		if res.Degraded {
 			s.metrics.degradedEstimates.Add(1)
@@ -664,15 +666,15 @@ func (s *Server) scatterEstimate(ctx context.Context, est *core.Estimator,
 
 // --- handlers ---------------------------------------------------------------
 
-// resolveBackend maps a request's backend name to a Predictor, or writes
+// resolveBackend maps a request's backend name to its backend, or writes
 // the stable unknown_backend error (400) and returns false.
-func (s *Server) resolveBackend(w http.ResponseWriter, name string) (model.Predictor, bool) {
-	pred, err := s.backends.Load().resolve(name)
+func (s *Server) resolveBackend(w http.ResponseWriter, name string) (servedModel, bool) {
+	sm, err := s.backends.Load().resolve(name)
 	if err != nil {
 		writeErrorCode(w, http.StatusBadRequest, cluster.CodeUnknownBackend, err)
-		return nil, false
+		return servedModel{}, false
 	}
-	return pred, true
+	return sm, true
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -687,7 +689,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	bs := s.backends.Load()
 	params := 0
-	if src := model.SourceNet(bs.byKind[bs.def]); src != nil {
+	if src := model.SourceNet(bs.byKind[bs.def].pred); src != nil {
 		params = src.NumParams()
 	}
 	var clusterInfo map[string]any
@@ -889,7 +891,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pred, ok := s.resolveBackend(w, req.Backend)
+	sm, ok := s.resolveBackend(w, req.Backend)
 	if !ok {
 		return
 	}
@@ -898,12 +900,12 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfg, pred)
+	res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfg, sm)
 	if err != nil {
 		writeError(w, errorCode(r, err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, estimateToResponse(wl, method, pred.Kind(), res, cached))
+	writeJSON(w, http.StatusOK, estimateToResponse(wl, method, sm.pred.Kind(), res, cached))
 }
 
 // quantilesReserved are GET /v1/quantiles query params that are not config
@@ -932,7 +934,7 @@ func (s *Server) handleQuantiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pred, ok := s.resolveBackend(w, qv.Get("backend"))
+	sm, ok := s.resolveBackend(w, qv.Get("backend"))
 	if !ok {
 		return
 	}
@@ -962,7 +964,7 @@ func (s *Server) handleQuantiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	res, cached, err := s.runEstimate(r.Context(), wl, method, numPaths, seed, cfg, pred)
+	res, cached, err := s.runEstimate(r.Context(), wl, method, numPaths, seed, cfg, sm)
 	if err != nil {
 		writeError(w, errorCode(r, err), err)
 		return
@@ -983,7 +985,7 @@ func (s *Server) handleQuantiles(w http.ResponseWriter, r *http.Request) {
 		"quantiles": quantiles,
 	}
 	if method == core.MethodML {
-		out["backend"] = pred.Kind()
+		out["backend"] = sm.pred.Kind()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -1025,7 +1027,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pred, ok := s.resolveBackend(w, req.Backend)
+	sm, ok := s.resolveBackend(w, req.Backend)
 	if !ok {
 		return
 	}
@@ -1057,11 +1059,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return sweepResult{}, err
 		}
-		res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfg, pred)
+		res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfg, sm)
 		if err != nil {
 			return sweepResult{}, err
 		}
-		return sweepResult{Name: name, Knobs: merged, Estimate: estimateToResponse(wl, method, pred.Kind(), res, cached)}, nil
+		return sweepResult{Name: name, Knobs: merged, Estimate: estimateToResponse(wl, method, sm.pred.Kind(), res, cached)}, nil
 	}
 	results := make([]sweepResult, 0, len(req.Sweeps)+1)
 	base, err := run("base", nil)
@@ -1136,7 +1138,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.broadcastInvalidate(newFP, ckpt)
 	params := 0
-	if src := model.SourceNet(bs.byKind[bs.def]); src != nil {
+	if src := model.SourceNet(bs.byKind[bs.def].pred); src != nil {
 		params = src.NumParams()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -164,11 +164,15 @@ func (c *CDF) At(x float64) float64 {
 }
 
 // Quantile returns the q-quantile for q in [0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
+func (c *CDF) Quantile(q float64) float64 { return SortedQuantile(c.sorted, q) }
+
+// SortedQuantile is CDF.Quantile over xs, which must already be sorted
+// ascending: no copy, no sort. It returns NaN for empty input.
+func SortedQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
 		return math.NaN()
 	}
-	return percentileSorted(c.sorted, q*100)
+	return percentileSorted(xs, q*100)
 }
 
 // Len reports the number of samples.

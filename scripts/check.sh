@@ -47,6 +47,18 @@ go test -run 'TestEstimateCacheBackendKeying' ./internal/core/
 go test -run 'TestEstimateBackendSelection|TestUnknownBackend|TestQuantilesBackendByteStable|TestMetricsBackendSplit' \
     ./internal/serve/
 
+echo "== warm-path gate (-race) =="
+# A warm cache hit does O(1) model and quantile work: no request
+# fingerprints the model (a counting predictor sees exactly one call, at
+# backend-set build), a model swap still re-keys the cache and shard calls
+# pinned to the old fingerprint get 409 model_mismatch, and the memoized
+# combined quantiles and sorted-slice bucket quantiles are bit-identical to
+# the unmemoized computation, also under concurrent callers.
+go test -race -run '^TestWarmPathNoFingerprint$|^TestBackendSetFingerprints$|^TestSwapNewCacheKey$' \
+    ./internal/serve/
+go test -race -run '^TestCombinedQuantile|^TestBucketQuantileMatchesCDF$|^TestFromSnapshotSameAnswers$' \
+    ./internal/agg/
+
 echo "== streamed pipeline parity + sharded GEMM bit-identity =="
 # Pipelined-parity gate: the barrier-free featurize→predict pipeline must
 # reproduce the staged baseline's per-path outputs bit for bit across
