@@ -446,36 +446,6 @@ func BenchmarkModelInferenceBatchInt8(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(samples))*1e9, "ns/sample")
 }
 
-// BenchmarkEstimatePipeline compares the two ML estimation pipelines end to
-// end: staged runs featurize and predict as barrier-separated pool stages;
-// streamed launches each predict micro-batch the moment featurize fills it,
-// overlapping flowSim with inference. Outputs are bit-identical (see
-// TestStreamedMatchesStagedBitIdentical); only the schedule differs.
-func BenchmarkEstimatePipeline(b *testing.B) {
-	net, _ := benchNets(b)
-	ft, flows := benchWorkload(b, 8000)
-	cfg := packetsim.DefaultConfig()
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name   string
-		staged bool
-	}{{"staged", true}, {"streamed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			est := core.NewEstimator(net, core.WithNumPaths(200),
-				core.WithStagedPipeline(mode.staged))
-			var overlap float64
-			for i := 0; i < b.N; i++ {
-				res, err := est.Estimate(ctx, ft.Topology, flows, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				overlap += res.OverlapRatio()
-			}
-			b.ReportMetric(overlap/float64(b.N), "overlap-ratio")
-		})
-	}
-}
-
 // BenchmarkModelInferenceBatchSharded times one 32-sample PredictBatch per
 // iteration across backend x GEMM parallelism. par=1 is the serial baseline;
 // par=4 shards each heavy layer's output rows across 4 goroutines with
@@ -508,6 +478,8 @@ func BenchmarkModelInferenceBatchSharded(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateEndToEnd times one cold ML estimate of 200 sampled paths
+// on an 8000-flow workload through the featurize→predict schedule.
 func BenchmarkEstimateEndToEnd(b *testing.B) {
 	net, _ := benchNets(b)
 	ft, flows := benchWorkload(b, 8000)

@@ -28,7 +28,7 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	net, err := m3.LoadModel("m3.ckpt") // train with cmd/m3train
+	net, err := m3.LoadPredictor("m3.ckpt") // train with cmd/m3train
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func ExampleTrainModel() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := m3.SaveModel(net, "m3-dctcp.ckpt"); err != nil {
+	if err := m3.SavePredictor(net, "m3-dctcp.ckpt"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("parameters:", net.NumParams())

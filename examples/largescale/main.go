@@ -28,9 +28,9 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 
-	var net *m3.Model
+	var net m3.Predictor
 	if *checkpoint != "" {
-		if n, err := m3.LoadModel(*checkpoint); err == nil {
+		if n, err := m3.LoadPredictor(*checkpoint); err == nil {
 			net = n
 			log.Printf("loaded model from %s", *checkpoint)
 		}
@@ -48,7 +48,7 @@ func main() {
 		}
 		net = n
 		if *checkpoint != "" {
-			if err := m3.SaveModel(net, *checkpoint); err != nil {
+			if err := m3.SavePredictor(net, *checkpoint); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -26,9 +26,9 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. Get a model: load the cached checkpoint or train a small one.
-	var net *m3.Model
+	var net m3.Predictor
 	if *checkpoint != "" {
-		if n, err := m3.LoadModel(*checkpoint); err == nil {
+		if n, err := m3.LoadPredictor(*checkpoint); err == nil {
 			log.Printf("loaded model from %s", *checkpoint)
 			net = n
 		}
@@ -46,9 +46,9 @@ func main() {
 			log.Fatal(err)
 		}
 		net = n
-		log.Printf("trained %d-parameter model in %v", net.NumParams(), time.Since(start).Round(time.Second))
+		log.Printf("trained %d-parameter model in %v", n.NumParams(), time.Since(start).Round(time.Second))
 		if *checkpoint != "" {
-			if err := m3.SaveModel(net, *checkpoint); err != nil {
+			if err := m3.SavePredictor(net, *checkpoint); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("saved checkpoint to %s", *checkpoint)

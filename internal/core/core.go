@@ -75,17 +75,15 @@ const (
 // configuration is fixed at construction (an Estimator is immutable and safe
 // to share between goroutines).
 type Estimator struct {
-	pred       model.Predictor
-	numPaths   int
-	workers    int
-	method     Method
-	seed       uint64
-	batchSize  int
-	pool       *Pool
-	decomp     *pathsim.Decomposition
-	fallback   bool
-	staged     bool
-	predictPar int
+	pred      model.Predictor
+	numPaths  int
+	workers   int
+	method    Method
+	seed      uint64
+	batchSize int
+	pool      *Pool
+	decomp    *pathsim.Decomposition
+	fallback  bool
 }
 
 // Option configures an Estimator at construction.
@@ -136,25 +134,6 @@ func WithPredictor(p model.Predictor) Option {
 	}
 }
 
-// WithStagedPipeline forces the ML backend's original barrier-separated
-// two-stage execution: featurize every sampled path, then predict in
-// micro-batches. The default is the streaming pipeline, which launches each
-// micro-batch the moment it fills so flowSim and inference overlap. The two
-// produce bit-identical estimates — PredictBatch output per sample is
-// independent of batch composition — so this knob exists for the parity
-// gate in scripts/check.sh and for staged-vs-streamed benchmarking, not for
-// correctness.
-func WithStagedPipeline(on bool) Option { return func(e *Estimator) { e.staged = on } }
-
-// WithPredictParallelism bounds how many worker goroutines one PredictBatch
-// call may shard its GEMM kernels across (<= 1 or 0 means serial). Applied
-// to the estimator's predictor at construction when the backend supports
-// the knob (both built-in kinds do). Sharded kernels are bit-identical to
-// serial, so this only moves wall-clock time. Note the knob lives on the
-// (shared) predictor: handing one backend to several estimators with
-// different values leaves the last writer's setting.
-func WithPredictParallelism(n int) Option { return func(e *Estimator) { e.predictPar = n } }
-
 // WithDecomposition supplies a precomputed decomposition, which must be of
 // exactly the (topology, flows) passed to Estimate; the decompose stage is
 // then skipped. Callers that estimate the same workload repeatedly under
@@ -182,9 +161,6 @@ func NewEstimator(p model.Predictor, opts ...Option) *Estimator {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.predictPar > 0 && e.pred != nil {
-		model.SetPredictParallelism(e.pred, e.predictPar)
-	}
 	return e
 }
 
@@ -193,12 +169,12 @@ func NewEstimator(p model.Predictor, opts ...Option) *Estimator {
 // Featurize and Predict are summed across workers (CPU time spent building
 // per-path scenarios, in the per-path backend alone — flowSim or the packet
 // simulator — in BuildInputs + BucketCounts, and in ML inference), feeding
-// the serving layer's /metrics endpoint. Because the streaming pipeline
-// overlaps featurize and predict, the summed stages can exceed the shard's
-// wall clock — PathSimWall (the whole featurize stage) and PredictWall
-// carry the per-stage wall-clock extents (first task start to last task
-// end), and Overlap is the wall-clock span during which both stages were
-// running at once (zero under the staged pipeline).
+// the serving layer's /metrics endpoint. Because the ML schedule overlaps
+// featurize and predict, the summed stages can exceed the shard's wall
+// clock — PathSimWall (the whole featurize stage) and PredictWall carry the
+// per-stage wall-clock extents (first task start to last task end), and
+// Overlap is the wall-clock span during which both stages were running at
+// once.
 type StageTimings struct {
 	Decompose     time.Duration
 	Sample        time.Duration
@@ -236,8 +212,8 @@ type Estimate struct {
 // OverlapRatio reports how much of the shorter ML stage's wall clock was
 // hidden under the longer one: Overlap / min(PathSimWall, PredictWall),
 // in [0, 1]. 1 means the predict stage ran entirely inside the featurize
-// window (or vice versa); 0 means the stages serialized — the staged
-// pipeline, a model-free method, or a single-worker pool all report 0.
+// window (or vice versa); 0 means the stages serialized, as for a
+// model-free method.
 func (e *Estimate) OverlapRatio() float64 {
 	shorter := min(e.Stages.PathSimWall, e.Stages.PredictWall)
 	if shorter <= 0 || e.Stages.Overlap <= 0 {
@@ -329,7 +305,7 @@ type ShardResult struct {
 	PredictNs   int64 `json:"predict_ns"`
 	// PathSimWallNs and PredictWallNs are the wall-clock extents of the two
 	// ML stages, and OverlapNs the span both ran concurrently (zero for
-	// model-free methods and the staged pipeline).
+	// model-free methods).
 	PathSimWallNs int64 `json:"path_sim_wall_ns,omitempty"`
 	PredictWallNs int64 `json:"predict_wall_ns,omitempty"`
 	OverlapNs     int64 `json:"overlap_ns,omitempty"`
@@ -422,11 +398,7 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 	var walls stageWalls
 	var err error
 	if method == MethodML {
-		if e.staged {
-			walls, err = e.estimateMLStaged(ctx, pool, d, distinct, mult, cfg, sr.Outs, &st)
-		} else {
-			walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &st)
-		}
+		walls, err = e.estimateML(ctx, pool, d, distinct, mult, cfg, sr.Outs, &st)
 	} else {
 		wallStart := time.Now()
 		err = pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
@@ -520,10 +492,8 @@ type stageWalls struct {
 	overlap time.Duration
 }
 
-// mlRun is the per-call state shared by the ML pipeline variants: the
-// featurized samples, the fallback retention slabs, and the batch/predict
-// plumbing that is identical whether batches form by completion order
-// (streamed) or by contiguous index ranges (staged).
+// mlRun is one ML shard's per-call state: the featurized samples, the
+// fallback retention slabs, and the batch/predict plumbing.
 type mlRun struct {
 	e        *Estimator
 	d        *pathsim.Decomposition
@@ -542,20 +512,6 @@ type mlRun struct {
 	fbSldn  [][]float64
 
 	st *stageCounters
-}
-
-func (e *Estimator) newMLRun(d *pathsim.Decomposition, distinct, mult []int,
-	cfg packetsim.Config, outs []agg.PathOutput, st *stageCounters) *mlRun {
-
-	r := &mlRun{
-		e: e, d: d, distinct: distinct, mult: mult, cfg: cfg,
-		samples: make([]*model.Sample, len(distinct)), outs: outs, st: st,
-	}
-	if e.fallback {
-		r.fbSizes = make([][]unit.ByteSize, len(distinct))
-		r.fbSldn = make([][]float64, len(distinct))
-	}
-	return r
 }
 
 // featurize builds sampled path i's scenario, runs flowSim on it and turns
@@ -595,8 +551,8 @@ func (r *mlRun) featurize(ctx context.Context, i int) error {
 // bucket vectors — or flowSim fallbacks — into outs. A PredictBatch error
 // degrades the whole batch when fallback is on; non-finite rows degrade
 // per path. Per-sample outputs are independent of batch composition
-// (PredictBatch agrees with per-sample prediction bitwise), so streamed
-// completion-order batches reproduce staged contiguous batches exactly.
+// (PredictBatch agrees with per-sample prediction bitwise), so batches
+// formed in completion order give the same estimate on any pool size.
 func (r *mlRun) predict(ctx context.Context, idx []int) error {
 	batch := make([]*model.Sample, len(idx))
 	for k, i := range idx {
@@ -647,55 +603,55 @@ var (
 	predictLabels   = pprof.Labels("stage", "predict")
 )
 
-// estimateMLStreamed is the ML backend's barrier-free pipeline: featurize
+// estimateML is the ML backend's featurize→predict schedule: featurize
 // tasks fan out over the pool and deliver completed samples to a batch
-// accumulator; the moment a micro-batch fills — or the featurize stage
-// drains — a predict task launches on the same pool via a Group, so flowSim
-// and inference overlap instead of serializing and batches from concurrent
-// estimates interleave exactly as before. Cancellation is shared both ways:
-// a predict failure cancels in-flight featurize work (the featurize Run
-// executes under the group's context) and a featurize failure cancels
-// pending predicts. Estimates are bit-identical to estimateMLStaged.
-func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
+// accumulator, and the task that fills a micro-batch — or featurizes the
+// last path, flushing the partial tail — predicts it inline, so flowSim and
+// inference overlap without a stage barrier and batches from concurrent
+// estimates interleave on a shared pool. A predict error fails its
+// featurize task, so Run's first-error cancel aborts the in-flight
+// featurize work.
+func (e *Estimator) estimateML(ctx context.Context, pool *Pool,
 	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
 	outs []agg.PathOutput, st *stageCounters) (stageWalls, error) {
 
-	r := e.newMLRun(d, distinct, mult, cfg, outs, st)
+	r := &mlRun{
+		e: e, d: d, distinct: distinct, mult: mult, cfg: cfg,
+		samples: make([]*model.Sample, len(distinct)), outs: outs, st: st,
+	}
+	if e.fallback {
+		r.fbSizes = make([][]unit.ByteSize, len(distinct))
+		r.fbSldn = make([][]float64, len(distinct))
+	}
 	bs := e.batchSize
 	if bs <= 0 {
 		bs = DefaultBatchSize
 	}
 
-	g := pool.NewGroup(ctx)
 	start := time.Now()
-	// predFirst/predLast track the predict stage's wall extent: the earliest
-	// task start and latest task end, as offsets from start.
-	var predFirst, predLast atomic.Int64
-	predFirst.Store(math.MaxInt64)
-	launch := func(idx []int) {
-		g.Go(func(ctx context.Context) error {
-			var err error
-			pprof.Do(ctx, predictLabels, func(ctx context.Context) {
-				t0 := int64(time.Since(start))
-				err = r.predict(ctx, idx)
-				t1 := int64(time.Since(start))
-				for {
-					if first := predFirst.Load(); t0 >= first || predFirst.CompareAndSwap(first, t0) {
-						break
-					}
-				}
-				for {
-					if last := predLast.Load(); t1 <= last || predLast.CompareAndSwap(last, t1) {
-						break
-					}
-				}
-			})
-			return err
+	// mu guards the batch accumulator and the stage walls, all offsets from
+	// start: the featurize stage ends when its last path does, and the
+	// predict extent runs from the earliest batch start to the latest end.
+	var (
+		mu                sync.Mutex
+		pending           = make([]int, 0, bs)
+		featurized        int
+		featEnd, predLast time.Duration
+		predFirst         = time.Duration(math.MaxInt64)
+	)
+	predict := func(ctx context.Context, idx []int) error {
+		var err error
+		pprof.Do(ctx, predictLabels, func(ctx context.Context) {
+			t0 := time.Since(start)
+			err = r.predict(ctx, idx)
+			t1 := time.Since(start)
+			mu.Lock()
+			predFirst, predLast = min(predFirst, t0), max(predLast, t1)
+			mu.Unlock()
 		})
+		return err
 	}
-	var mu sync.Mutex
-	pending := make([]int, 0, bs)
-	ferr := pool.Run(g.Context(), len(distinct), func(ctx context.Context, i int) error {
+	err := pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
 		var err error
 		pprof.Do(ctx, featurizeLabels, func(ctx context.Context) {
 			err = r.featurize(ctx, i)
@@ -705,90 +661,31 @@ func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 		}
 		mu.Lock()
 		pending = append(pending, i)
-		var full []int
-		if len(pending) >= bs {
-			full = pending
-			pending = make([]int, 0, bs)
+		featurized++
+		last := featurized == len(distinct)
+		if last {
+			featEnd = time.Since(start)
+		}
+		var batch []int
+		if len(pending) >= bs || last {
+			batch, pending = pending, make([]int, 0, bs)
 		}
 		mu.Unlock()
-		if full != nil {
-			launch(full)
+		if batch == nil {
+			return nil
 		}
-		return nil
+		return predict(ctx, batch)
 	})
-	featWall := time.Since(start)
-	if ferr != nil {
-		// Fail keeps the earlier predict error when one already canceled the
-		// run (ferr is then just the induced context.Canceled); otherwise the
-		// featurize error cancels the pending predicts.
-		g.Fail(ferr)
-	} else {
-		// Featurize drained: flush the partial tail batch.
-		mu.Lock()
-		tail := pending
-		pending = nil
-		mu.Unlock()
-		if len(tail) > 0 {
-			launch(tail)
-		}
-	}
-	err := g.Wait()
 	total := time.Since(start)
-	walls := stageWalls{pathSim: featWall}
-	if first, last := predFirst.Load(), predLast.Load(); last > first {
-		walls.predict = time.Duration(last - first)
+	walls := stageWalls{pathSim: featEnd}
+	if predLast > predFirst {
+		walls.predict = predLast - predFirst
 	}
 	// Overlap: how much longer the two stages would have taken end-to-end
 	// had they serialized, versus the wall clock they actually took.
 	if over := walls.pathSim + walls.predict - total; over > 0 {
 		walls.overlap = over
 	}
-	return walls, err
-}
-
-// estimateMLStaged is the original barrier-separated pipeline: featurize
-// every sampled path, then flush contiguous micro-batches through
-// PredictBatch, both as full pool.Run stages. Kept selectable (see
-// WithStagedPipeline) as the parity baseline for the streamed pipeline and
-// for staged-vs-streamed benchmarking.
-func (e *Estimator) estimateMLStaged(ctx context.Context, pool *Pool,
-	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
-	outs []agg.PathOutput, st *stageCounters) (stageWalls, error) {
-
-	r := e.newMLRun(d, distinct, mult, cfg, outs, st)
-	var walls stageWalls
-	featStart := time.Now()
-	err := pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
-		var err error
-		pprof.Do(ctx, featurizeLabels, func(ctx context.Context) {
-			err = r.featurize(ctx, i)
-		})
-		return err
-	})
-	walls.pathSim = time.Since(featStart)
-	if err != nil {
-		return walls, err
-	}
-	bs := e.batchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	numBatches := (len(distinct) + bs - 1) / bs
-	predStart := time.Now()
-	err = pool.Run(ctx, numBatches, func(ctx context.Context, bi int) error {
-		lo := bi * bs
-		hi := min(lo+bs, len(distinct))
-		idx := make([]int, hi-lo)
-		for k := range idx {
-			idx[k] = lo + k
-		}
-		var perr error
-		pprof.Do(ctx, predictLabels, func(ctx context.Context) {
-			perr = r.predict(ctx, idx)
-		})
-		return perr
-	})
-	walls.predict = time.Since(predStart)
 	return walls, err
 }
 

@@ -36,13 +36,13 @@ func (f *failingPredictor) Fingerprint() uint64 { return f.inner.Fingerprint() }
 func (f *failingPredictor) SelfCheck() error    { return f.inner.SelfCheck() }
 func (f *failingPredictor) Kind() string        { return f.inner.Kind() }
 
-// TestStreamedMatchesStagedBitIdentical is the pipelined-parity property
+// TestScheduleInvariantBitIdentical is the schedule-invariance property
 // test (run with -count=2 under -race by scripts/check.sh): for both
-// backends, across seeds and micro-batch sizes, the streaming pipeline must
-// reproduce the staged pipeline's per-path outputs bit for bit — batch
-// composition by completion order is invisible because PredictBatch output
-// per sample is independent of its batchmates.
-func TestStreamedMatchesStagedBitIdentical(t *testing.T) {
+// backends, across seeds and micro-batch sizes, RunShard on a 4-worker pool
+// must reproduce, bit for bit, the per-path outputs of batch size 1 on a
+// 1-worker pool — batch composition by completion order is invisible because
+// PredictBatch output per sample is independent of its batchmates.
+func TestScheduleInvariantBitIdentical(t *testing.T) {
 	net := tinyTrainedNet(t)
 	q, err := model.Quantize(net)
 	if err != nil {
@@ -50,26 +50,28 @@ func TestStreamedMatchesStagedBitIdentical(t *testing.T) {
 	}
 	ft, flows := testWorkload(t, 900, 31)
 	cfg := packetsim.DefaultConfig()
-	p := NewPool(4)
-	defer p.Close()
+	serial, wide := NewPool(1), NewPool(4)
+	defer serial.Close()
+	defer wide.Close()
 	for _, backend := range []model.Predictor{net, model.Predictor(q)} {
-		for _, bs := range []int{1, 5, DefaultBatchSize} {
-			for seed := uint64(1); seed <= 2; seed++ {
-				name := fmt.Sprintf("%s/bs=%d/seed=%d", backend.Kind(), bs, seed)
-				run := func(staged bool) *ShardResult {
-					est := NewEstimator(backend, WithNumPaths(50), WithSeed(seed),
-						WithBatchSize(bs), WithPool(p), WithStagedPipeline(staged))
-					plan, err := est.Plan(ft.Topology, flows)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sr, err := est.RunShard(context.Background(), plan.D, plan.Distinct, plan.Mult, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return sr
+		for seed := uint64(1); seed <= 2; seed++ {
+			run := func(bs int, p *Pool) *ShardResult {
+				est := NewEstimator(backend, WithNumPaths(50), WithSeed(seed),
+					WithBatchSize(bs), WithPool(p))
+				plan, err := est.Plan(ft.Topology, flows)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want, got := run(true), run(false)
+				sr, err := est.RunShard(context.Background(), plan.D, plan.Distinct, plan.Mult, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sr
+			}
+			want := run(1, serial)
+			for _, bs := range []int{1, 5, DefaultBatchSize} {
+				name := fmt.Sprintf("%s/bs=%d/seed=%d", backend.Kind(), bs, seed)
+				got := run(bs, wide)
 				if len(want.Outs) != len(got.Outs) {
 					t.Fatalf("%s: %d vs %d outputs", name, len(want.Outs), len(got.Outs))
 				}
@@ -84,7 +86,7 @@ func TestStreamedMatchesStagedBitIdentical(t *testing.T) {
 						}
 						for j := range w.Buckets[b] {
 							if math.Float64bits(w.Buckets[b][j]) != math.Float64bits(g.Buckets[b][j]) {
-								t.Fatalf("%s: path %d bucket %d[%d]: streamed %v != staged %v",
+								t.Fatalf("%s: path %d bucket %d[%d]: 4 workers %v != serial bs=1 %v",
 									name, i, b, j, g.Buckets[b][j], w.Buckets[b][j])
 							}
 						}
@@ -154,8 +156,7 @@ func TestStreamedPredictErrorCancelsFeaturize(t *testing.T) {
 
 // TestStreamedPredictPanicFailsRun: a panic in a streamed predict task is a
 // bug, not a degradation — even with fallback enabled it must surface as a
-// typed *pool.PanicError (and leave the estimator reusable), exactly like
-// the staged pipeline always did.
+// typed *pool.PanicError and leave the estimator reusable.
 func TestStreamedPredictPanicFailsRun(t *testing.T) {
 	t.Cleanup(faultinject.Clear)
 	net := tinyTrainedNet(t)
@@ -192,36 +193,123 @@ func TestStreamedPredictPanicFailsRun(t *testing.T) {
 // TestStreamedWallTimings: a successful cold ML estimate must report
 // non-zero CPU time for every per-path stage, wall-clock extents for both
 // ML stages, an overlap no larger than the shorter stage's wall, and an
-// OverlapRatio in [0, 1]; the staged pipeline must report zero overlap.
+// OverlapRatio in [0, 1].
 func TestStreamedWallTimings(t *testing.T) {
 	net := tinyTrainedNet(t)
 	ft, flows := testWorkload(t, 900, 7)
 	cfg := packetsim.DefaultConfig()
-	for _, staged := range []bool{false, true} {
-		est := NewEstimator(net, WithNumPaths(40), WithSeed(2), WithBatchSize(4),
-			WithStagedPipeline(staged))
-		res, err := est.Estimate(context.Background(), ft.Topology, flows, cfg)
+	est := NewEstimator(net, WithNumPaths(40), WithSeed(2), WithBatchSize(4))
+	res, err := est.Estimate(context.Background(), ft.Topology, flows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stages
+	if st.ScenarioBuild <= 0 || st.PathSim <= 0 || st.Featurize <= 0 || st.Predict <= 0 {
+		t.Errorf("stages scenario=%v pathsim=%v featurize=%v predict=%v, want all > 0",
+			st.ScenarioBuild, st.PathSim, st.Featurize, st.Predict)
+	}
+	if st.PathSimWall <= 0 || st.PredictWall <= 0 {
+		t.Errorf("walls PathSim=%v Predict=%v, want both > 0", st.PathSimWall, st.PredictWall)
+	}
+	if st.Overlap < 0 || st.Overlap > min(st.PathSimWall, st.PredictWall) {
+		t.Errorf("overlap %v out of range (walls %v/%v)", st.Overlap, st.PathSimWall, st.PredictWall)
+	}
+	if r := res.OverlapRatio(); r < 0 || r > 1 {
+		t.Errorf("OverlapRatio = %v, want [0,1]", r)
+	}
+}
+
+// tailShard is 40 distinct sampled paths of a test workload: at batch size
+// tailBS that is two full micro-batches plus a partial tail of 8, the only
+// PredictBatch call smaller than tailBS.
+const tailBS = 16
+
+func tailShard(t *testing.T) (*Plan, []int, []int) {
+	t.Helper()
+	ft, flows := testWorkload(t, 1200, 1)
+	plan, err := NewEstimator(nil, WithNumPaths(200), WithSeed(3)).Plan(ft.Topology, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Distinct) < 40 {
+		t.Fatalf("plan has %d distinct paths, want >= 40", len(plan.Distinct))
+	}
+	return plan, plan.Distinct[:40], plan.Mult[:40]
+}
+
+// tailFailingPredictor fails the tail call: every PredictBatch smaller than
+// tailBS.
+type tailFailingPredictor struct {
+	model.Predictor
+	calls atomic.Int32
+}
+
+func (p *tailFailingPredictor) PredictBatch(ctx context.Context, samples []*model.Sample) ([][]float64, error) {
+	p.calls.Add(1)
+	if len(samples) < tailBS {
+		return nil, errors.New("injected tail failure")
+	}
+	return p.Predictor.PredictBatch(ctx, samples)
+}
+
+// TestTailBatchPanicFailsRun: a panic on the final, partial PredictBatch
+// surfaces as *pool.PanicError even with fallback on, and the estimator
+// stays reusable.
+func TestTailBatchPanicFailsRun(t *testing.T) {
+	t.Cleanup(faultinject.Clear)
+	net := tinyTrainedNet(t)
+	plan, distinct, mult := tailShard(t)
+	cfg := packetsim.DefaultConfig()
+
+	faultinject.Set("core.predict", func(v any) {
+		if len(v.([][]float64)) < tailBS {
+			panic("injected tail panic")
+		}
+	})
+	est := NewEstimator(net, WithBatchSize(tailBS), WithFlowSimFallback(true))
+	_, err := est.RunShard(context.Background(), plan.D, distinct, mult, cfg)
+	var pe *pool.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error %T (%v), want *pool.PanicError", err, err)
+	}
+	if pe.Value != "injected tail panic" {
+		t.Errorf("panic value = %v", pe.Value)
+	}
+
+	faultinject.Clear()
+	sr, err := est.RunShard(context.Background(), plan.D, distinct, mult, cfg)
+	if err != nil {
+		t.Fatalf("estimator unusable after recovered tail panic: %v", err)
+	}
+	if sr.DegradedPaths != 0 {
+		t.Errorf("healthy rerun degraded %d paths", sr.DegradedPaths)
+	}
+}
+
+// TestTailBatchError: a predictor that fails only the tail call degrades
+// exactly the tail's paths with fallback on, and fails the shard with that
+// call's error with fallback off.
+func TestTailBatchError(t *testing.T) {
+	net := tinyTrainedNet(t)
+	plan, distinct, mult := tailShard(t)
+	for _, fallback := range []bool{true, false} {
+		fp := &tailFailingPredictor{Predictor: net}
+		est := NewEstimator(fp, WithBatchSize(tailBS), WithFlowSimFallback(fallback))
+		sr, err := est.RunShard(context.Background(), plan.D, distinct, mult, packetsim.DefaultConfig())
+		if !fallback {
+			if err == nil || !strings.Contains(err.Error(), "injected tail failure") {
+				t.Errorf("RunShard = %v, want injected tail failure", err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := res.Stages
-		if st.ScenarioBuild <= 0 || st.PathSim <= 0 || st.Featurize <= 0 || st.Predict <= 0 {
-			t.Errorf("staged=%v: stages scenario=%v pathsim=%v featurize=%v predict=%v, want all > 0",
-				staged, st.ScenarioBuild, st.PathSim, st.Featurize, st.Predict)
+		if n := fp.calls.Load(); n != 3 {
+			t.Errorf("PredictBatch called %d times, want 3", n)
 		}
-		if st.PathSimWall <= 0 || st.PredictWall <= 0 {
-			t.Errorf("staged=%v: walls PathSim=%v Predict=%v, want both > 0",
-				staged, st.PathSimWall, st.PredictWall)
-		}
-		if st.Overlap < 0 || st.Overlap > min(st.PathSimWall, st.PredictWall) {
-			t.Errorf("staged=%v: overlap %v out of range (walls %v/%v)",
-				staged, st.Overlap, st.PathSimWall, st.PredictWall)
-		}
-		if r := res.OverlapRatio(); r < 0 || r > 1 {
-			t.Errorf("staged=%v: OverlapRatio = %v, want [0,1]", staged, r)
-		}
-		if staged && st.Overlap != 0 {
-			t.Errorf("staged pipeline reported overlap %v, want 0", st.Overlap)
+		if want := len(distinct) - 2*tailBS; sr.DegradedPaths != want {
+			t.Errorf("DegradedPaths = %d, want %d (the tail batch)", sr.DegradedPaths, want)
 		}
 	}
 }

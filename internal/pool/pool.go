@@ -81,92 +81,6 @@ func call(ctx context.Context, i int, fn func(ctx context.Context, i int) error)
 	return fn(ctx, i)
 }
 
-// Group runs dynamically submitted tasks on a pool with shared first-error
-// cancellation. Where Run needs the task count up front, a Group accepts
-// tasks as they materialize — the streaming estimator's predict micro-batches
-// launch the moment the featurize stage fills them, from inside featurize
-// tasks that are themselves running on the pool. Submission never waits on a
-// full queue (see Go: a saturated pool runs the task inline on the caller),
-// so producer tasks on the pool can safely spawn consumer tasks on the same
-// pool without deadlocking.
-//
-// A Group's context is canceled by the first task error (or Fail call);
-// stages that should die together — the featurize Run and the predict
-// Group — share it. Wait returns the first recorded error.
-type Group struct {
-	p      *Pool
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	once   sync.Once
-	err    error
-}
-
-// NewGroup returns a Group whose tasks run on p under a context derived
-// from ctx. Cancel the group (first error, Fail, or parent ctx) and every
-// unstarted task is skipped while in-flight tasks observe a done context.
-func (p *Pool) NewGroup(ctx context.Context) *Group {
-	gctx, cancel := context.WithCancel(ctx)
-	return &Group{p: p, ctx: gctx, cancel: cancel}
-}
-
-// Context is the group's cancellation scope. Run sibling stages under it so
-// a failure on either side aborts both.
-func (g *Group) Context() context.Context { return g.ctx }
-
-// Fail records err as the group's result (first call wins) and cancels the
-// group's context. Recording context.Canceled from a task that merely
-// observed the group's own cancellation still counts as "first"; callers
-// that have a more specific cause should Fail before canceling.
-func (g *Group) Fail(err error) {
-	g.once.Do(func() {
-		g.err = err
-		g.cancel()
-	})
-}
-
-// Go submits fn to the pool, or — when every worker is busy — executes it
-// inline on the calling goroutine. Inline execution is work-conserving: a
-// saturated pool means no worker would reach the task promptly anyway (a
-// parked hand-off goroutine loses the queue to Run's submit loop, and on a
-// single-core box the scheduler's hand-off fast path can starve it until the
-// whole Run drains), so the producer runs its consumer itself. That keeps
-// the streamed pipeline's latency and cancellation promptness independent of
-// scheduler fairness. The cost is that Go may block for one task's duration;
-// tasks must therefore not wait on other tasks of the same pool. Tasks get
-// the same panic isolation as Run: a panic is recovered into a *PanicError
-// and fails the group. Skipped tasks (group already canceled) are not run.
-func (g *Group) Go(fn func(ctx context.Context) error) {
-	g.wg.Add(1)
-	task := func() {
-		defer g.wg.Done()
-		if g.ctx.Err() != nil {
-			return
-		}
-		if err := call(g.ctx, 0, func(ctx context.Context, _ int) error { return fn(ctx) }); err != nil {
-			g.Fail(err)
-		}
-	}
-	select {
-	case g.p.tasks <- task:
-	default:
-		task()
-	}
-}
-
-// Wait blocks until every submitted task has finished (or been skipped),
-// releases the group's context, and returns the first recorded error —
-// which is nil when all tasks succeeded and the parent context is live.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	ctxErr := g.ctx.Err() // read before the release below cancels it
-	g.cancel()
-	if g.err != nil {
-		return g.err
-	}
-	return ctxErr
-}
-
 // Run executes fn(0..n-1) on the pool and blocks until all started indices
 // finish. Indices are submitted one at a time (never one goroutine per
 // item), so a huge fan-out queues instead of oversubscribing. The first

@@ -132,7 +132,7 @@ type Metrics struct {
 	// Cumulative per-stage estimator time (ns). The scenario, pathSim,
 	// featurize and predict stages are CPU time summed across pool workers;
 	// the wall pair is per-estimate elapsed time, and overlapNs how much of
-	// the two extents ran concurrently under the streamed pipeline.
+	// the two extents ran concurrently.
 	decomposeNs   atomic.Int64
 	sampleNs      atomic.Int64
 	scenarioNs    atomic.Int64

@@ -808,10 +808,10 @@ type estimateResponse struct {
 	P99           map[string]float64 `json:"p99"`
 	StagesMS      map[string]float64 `json:"stages_ms"`
 	// OverlapRatio is the fraction of the shorter of the pathsim/predict
-	// wall-clock extents that ran concurrently with the other stage — 0 for
-	// a fully serialized (staged) pipeline, approaching 1 when the streamed
-	// pipeline hides one stage entirely behind the other. Absent for cached
-	// results and model-free methods (no predict stage ran).
+	// wall-clock extents that ran concurrently with the other stage — 0 when
+	// the stages serialized, approaching 1 when one stage hides entirely
+	// behind the other. Absent for cached results and model-free methods (no
+	// predict stage ran).
 	OverlapRatio float64 `json:"overlap_ratio,omitempty"`
 }
 

@@ -11,7 +11,7 @@
 //
 //	ft, _ := m3.SmallFatTree(m3.Oversub2to1)
 //	flows, _ := m3.GenerateWorkload(ft, m3.WorkloadSpec{ ... })
-//	net, _ := m3.LoadModel("m3.ckpt")             // or m3.TrainModel(...)
+//	net, _ := m3.LoadPredictor("m3.ckpt")         // or m3.TrainModel(...)
 //	est := m3.NewEstimator(net, m3.WithNumPaths(500), m3.WithSeed(1))
 //	res, _ := est.Estimate(ctx, ft.Topology, flows, m3.DefaultNetConfig())
 //	fmt.Println("p99 slowdown:", res.P99())
@@ -193,18 +193,6 @@ func TrainModel(ctx context.Context, mc ModelConfig, dc DataConfig, opt TrainOpt
 	return net, nil
 }
 
-// SaveModel writes a trained model to path.
-//
-// Deprecated: SavePredictor persists any backend; SaveModel remains for the
-// float net only.
-func SaveModel(net *Model, path string) error { return net.SaveFile(path) }
-
-// LoadModel reads a model saved by SaveModel. It rejects checkpoints of
-// non-float backend kinds.
-//
-// Deprecated: LoadPredictor loads a checkpoint of any backend kind.
-func LoadModel(path string) (*Model, error) { return model.LoadFile(path) }
-
 // QuantizeModel derives the int8 weight-quantized backend from a trained
 // float model: ~1/8 the weight footprint, integer matmuls, bit-stable
 // outputs, with predictions within a small relative error of the float
@@ -217,7 +205,7 @@ func QuantizeModel(net *Model) (*QuantizedModel, error) { return model.Quantize(
 func SavePredictor(p Predictor, path string) error { return model.SavePredictorFile(p, path) }
 
 // LoadPredictor reads a checkpoint of any backend kind saved by
-// SavePredictor (or SaveModel).
+// SavePredictor.
 func LoadPredictor(path string) (Predictor, error) { return model.LoadPredictorFile(path) }
 
 // NewEstimator returns an m3 estimator with the paper's defaults

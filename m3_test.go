@@ -82,15 +82,18 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 	net := trainTinyModel(t)
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := SaveModel(net, path); err != nil {
+	if err := SavePredictor(net, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(path)
+	loaded, err := LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumParams() != net.NumParams() {
-		t.Error("round trip changed parameter count")
+	if loaded.Kind() != net.Kind() {
+		t.Errorf("round trip changed kind %q -> %q", net.Kind(), loaded.Kind())
+	}
+	if loaded.Fingerprint() != net.Fingerprint() {
+		t.Errorf("round trip changed fingerprint %x -> %x", net.Fingerprint(), loaded.Fingerprint())
 	}
 }
 

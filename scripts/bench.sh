@@ -20,14 +20,14 @@
 # BENCH_pr8.json records the int8-quantized inference backend against the
 # float batched path and the frozen PR 3 float baseline; the gate is
 # parity-or-better ns/op.
-# BENCH_pr9.json records the barrier-free streamed pipeline vs the staged
-# baseline and the worker-sharded GEMM sweep vs the frozen PR 8 serial
-# numbers; the gate is parity-or-better with single-core noise tolerance.
+# BENCH_pr9.json records the worker-sharded GEMM sweep vs the frozen
+# BENCH_pr8.json serial numbers; the gate is parity-or-better with
+# single-core noise tolerance.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES='^(BenchmarkPacketsim|BenchmarkParsimon|BenchmarkDatasetGen)$'
-SMOKE='^(BenchmarkPacketsim|BenchmarkParsimon|BenchmarkDatasetGen|BenchmarkModelInference|BenchmarkModelInferenceBatch|BenchmarkModelInferenceBatchInt8|BenchmarkModelInferenceBatchSharded|BenchmarkEstimateEndToEnd|BenchmarkEstimatePipeline|BenchmarkServeEstimate)$'
+SMOKE='^(BenchmarkPacketsim|BenchmarkParsimon|BenchmarkDatasetGen|BenchmarkModelInference|BenchmarkModelInferenceBatch|BenchmarkModelInferenceBatchInt8|BenchmarkModelInferenceBatchSharded|BenchmarkEstimateEndToEnd|BenchmarkServeEstimate)$'
 
 if [[ "${1:-}" == "-short" ]]; then
     go test -run '^$' -bench "$SMOKE" -benchtime=1x -benchmem .
@@ -231,16 +231,15 @@ if summary.get("int8_vs_pr3_float_speedup", 1.0) < 1.0:
     raise SystemExit("int8 backend slower than the PR 3 float baseline")
 EOF
 
-pipeline_out=$(go test -run '^$' -bench '^(BenchmarkEstimatePipeline|BenchmarkModelInferenceBatchSharded)$' -benchtime=2s -count=1 .)
-echo "$pipeline_out"
+sharded_out=$(go test -run '^$' -bench '^BenchmarkModelInferenceBatchSharded$' -benchtime=2s -count=1 .)
+echo "$sharded_out"
 
-BENCH_OUT="$pipeline_out" python3 - <<'EOF'
+BENCH_OUT="$sharded_out" python3 - <<'EOF'
 import json, os, re
 
 # Frozen serial inference numbers from the int8-backend PR (BENCH_pr8.json,
 # commit 9cfdd4c machine class), the baseline the sharded GEMM is gated
-# against. The staged-pipeline baseline is measured fresh in the same run as
-# the streamed number, so both sides see identical machine conditions.
+# against.
 baseline = {
     "commit": "pr8",
     "BenchmarkModelInferenceBatch": {"ns_per_op": 5811283},
@@ -258,34 +257,21 @@ for line in os.environ["BENCH_OUT"].splitlines():
         key = {
             "ns/op": "ns_per_op",
             "ns/sample": "ns_per_sample",
-            "overlap-ratio": "overlap_ratio",
         }.get(unit)
         if key:
             row[key] = float(val) if "." in val else int(float(val))
 
 doc = {
-    "description": "Barrier-free pipeline + sharded-GEMM benchmarks: the "
-                   "streamed featurize/predict schedule vs the staged "
-                   "baseline (bit-identical outputs, different overlap), "
-                   "and one 32-sample PredictBatch per op across backend x "
-                   "GEMM parallelism. Regenerate with scripts/bench.sh.",
-    "note": "Measured on a single-CPU host (GOMAXPROCS=1): sharded and "
-            "streamed schedules cannot beat serial wall clock here, so the "
-            "gate is parity-or-better (>= 0.90, noise tolerance) and the "
-            "multi-core speedup target is deferred to a wider machine. The "
-            "overlap_ratio metric shows the streamed pipeline hiding the "
-            "predict stage inside the featurize wall regardless.",
+    "description": "Sharded-GEMM benchmarks: one 32-sample PredictBatch "
+                   "per op across backend x GEMM parallelism. Regenerate "
+                   "with scripts/bench.sh.",
+    "note": "The gate is parity-or-better (>= 0.90, noise tolerance): on "
+            "a single-CPU host sharded kernels cannot beat serial wall "
+            "clock.",
     "baseline_pr8_serial": baseline,
     "current": current,
 }
 summary = {}
-staged = current.get("BenchmarkEstimatePipeline/staged", {})
-streamed = current.get("BenchmarkEstimatePipeline/streamed", {})
-if "ns_per_op" in staged and "ns_per_op" in streamed:
-    summary["streamed_vs_staged_speedup"] = round(
-        staged["ns_per_op"] / streamed["ns_per_op"], 3)
-if "overlap_ratio" in streamed:
-    summary["streamed_overlap_ratio"] = streamed["overlap_ratio"]
 for kind, base_name in [
     ("net", "BenchmarkModelInferenceBatch"),
     ("net-int8", "BenchmarkModelInferenceBatchInt8"),
@@ -308,14 +294,13 @@ print("wrote BENCH_pr9.json")
 
 # Parity-or-better gates (0.90 floor absorbs single-core scheduling noise).
 failures = []
-for key in ["streamed_vs_staged_speedup", "net_par1_vs_pr8_speedup",
-            "net_int8_par1_vs_pr8_speedup", "net_par4_vs_par1_speedup",
-            "net_int8_par4_vs_par1_speedup"]:
+for key in ["net_par1_vs_pr8_speedup", "net_int8_par1_vs_pr8_speedup",
+            "net_par4_vs_par1_speedup", "net_int8_par4_vs_par1_speedup"]:
     v = summary.get(key)
     if v is not None and v < 0.90:
         failures.append(f"{key} = {v} (< 0.90)")
 if failures:
-    raise SystemExit("pipeline/GEMM regression: " + "; ".join(failures))
+    raise SystemExit("sharded GEMM regression: " + "; ".join(failures))
 EOF
 
 # Distributed-serving scaling + graceful-degradation record (BENCH_pr6.json):

@@ -59,14 +59,14 @@ go test -race -run '^TestWarmPathNoFingerprint$|^TestBackendSetFingerprints$|^Te
 go test -race -run '^TestCombinedQuantile|^TestBucketQuantileMatchesCDF$|^TestFromSnapshotSameAnswers$' \
     ./internal/agg/
 
-echo "== streamed pipeline parity + sharded GEMM bit-identity =="
-# Pipelined-parity gate: the barrier-free featurize→predict pipeline must
-# reproduce the staged baseline's per-path outputs bit for bit across
+echo "== schedule invariance + sharded GEMM bit-identity =="
+# Schedule-invariance gate: the featurize→predict schedule on a 4-worker
+# pool must reproduce batch size 1 on a 1-worker pool bit for bit across
 # backends, micro-batch sizes, and seeds (-count=2 reruns in one process to
 # catch state leaks); the worker-sharded GEMM must be bit-identical to the
 # serial kernels in both the float and int8 paths — all under the race
 # detector, since both features are scheduling-dependent by construction.
-go test -race -count=2 -run '^TestStreamedMatchesStagedBitIdentical$' ./internal/core/
+go test -race -count=2 -run '^TestScheduleInvariantBitIdentical$' ./internal/core/
 go test -race -run '^TestPredictParallelismBitIdentical$|^TestPredictParallelismConcurrent$' ./internal/model/
 go test -race -run '^TestFloatShardedBitIdentical$|^TestQuantShardedBitIdentical$' ./internal/ml/
 
